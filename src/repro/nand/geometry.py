@@ -10,6 +10,9 @@ read parallelism for sequential I/O (SecIII-B3 of the paper assumes it).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
+
+import numpy as np
 
 from ..config import NandGeometry
 from ..errors import GeometryError
@@ -125,6 +128,18 @@ class AddressMapper:
         return cache.get_or_compute(
             ppn, lambda: self._address_uncached(ppn)
         )
+
+    def address_columns(self, ppns: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Vectorized :meth:`address` decode of in-range ppns: the
+        ``(channel, die, plane, block, page)`` columns, no validation."""
+        g = self.geometry
+        pidx = ppns % self._planes_total
+        page_in_plane = ppns // self._planes_total
+        rest = pidx // g.channels
+        return (pidx % g.channels, rest % g.dies_per_channel,
+                rest // g.dies_per_channel,
+                page_in_plane // g.pages_per_block,
+                page_in_plane % g.pages_per_block)
 
     def _address_uncached(self, ppn: int) -> PageAddress:
         g = self.geometry

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..config import SSDConfig
 from ..errors import CapacityError, TraceError
 from ..nand.geometry import AddressMapper, PageAddress
@@ -130,6 +132,17 @@ class PageMapFtl:
         """Physical page currently holding ``lpn`` (identity if untouched)."""
         self._check_lpn(lpn)
         return self._map.get(lpn, self._ppn_identity(lpn))
+
+    def identity_resident(self, lpns: np.ndarray) -> np.ndarray:
+        """The in-range ``lpns`` whose data still sits at its identity
+        placement (``ppn == lpn``): never written or relocated this run."""
+        lpns = lpns[(lpns >= 0) & (lpns < self.user_pages)]
+        remapped = self._map
+        if remapped:
+            lpns = lpns[np.fromiter((lpn not in remapped
+                                     for lpn in lpns.tolist()),
+                                    dtype=bool, count=len(lpns))]
+        return lpns
 
     # --- reads -----------------------------------------------------------------------
 

@@ -18,6 +18,8 @@ them, the timed replayer honours them.
 from __future__ import annotations
 
 import math
+import zlib
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
@@ -51,6 +53,10 @@ class WorkloadSpec:
             raise ConfigError("ratios must be in [0, 1]")
         if len(self.sizes) != len(self.size_weights):
             raise ConfigError("sizes and size_weights must align")
+        if (not self.size_weights or min(self.size_weights) < 0
+                or sum(self.size_weights) <= 0):
+            raise ConfigError(
+                "size_weights must be non-empty, >= 0, with a positive sum")
         if not 0 < self.hot_fraction < 1:
             raise ConfigError("hot_fraction must be in (0, 1)")
 
@@ -105,21 +111,30 @@ def generate(
         raise TraceError("n_requests must be >= 1")
     if user_pages < 16:
         raise TraceError("user_pages too small to partition")
-    rng = make_rng(seed if seed is not None else hash(spec.name) & 0xFFFF)
+    # a stable digest: ``hash()`` of a str is salted per process
+    rng = make_rng(seed if seed is not None
+                   else zlib.crc32(spec.name.encode()) & 0xFFFF)
 
     hot_pages = max(4, int(user_pages * spec.hot_fraction))
     cold_pages = user_pages - hot_pages
     hot_base = cold_pages  # hot region sits above the cold region
 
-    sizes = np.array(spec.sizes)
+    sizes = [int(size) for size in spec.sizes]
     weights = np.array(spec.size_weights, dtype=float)
     weights = weights / weights.sum()
+    # ``rng.choice(sizes, p=weights)`` without its per-call overhead: the
+    # same normalised cumulative table and the same single uniform draw,
+    # located with ``bisect_right`` exactly like its
+    # ``searchsorted(side="right")``
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()
 
     requests = []
     t = 0.0
     for _ in range(n_requests):
         t += float(rng.exponential(spec.mean_interarrival_us))
-        size = int(rng.choice(sizes, p=weights))
+        size = sizes[bisect_right(cdf, rng.random())]
         n_pages = max(1, math.ceil(size / page_size))
         if rng.random() < spec.read_ratio:
             op = READ

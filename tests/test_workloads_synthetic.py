@@ -1,5 +1,12 @@
 """Synthetic workload generators vs the Table-II targets."""
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.errors import TraceError
@@ -87,3 +94,57 @@ def test_spec_validation():
         WorkloadSpec("bad", read_ratio=1.4, cold_read_ratio=0.5)
     with pytest.raises(ConfigError):
         WorkloadSpec("bad", read_ratio=0.5, cold_read_ratio=0.5, hot_fraction=0.0)
+    with pytest.raises(ConfigError):
+        WorkloadSpec("bad", read_ratio=0.5, cold_read_ratio=0.5,
+                     size_weights=(0.5, 0.5, 0.5, -0.5, 0.0))
+    with pytest.raises(ConfigError):
+        WorkloadSpec("bad", read_ratio=0.5, cold_read_ratio=0.5, sizes=(),
+                     size_weights=())
+
+
+def _trace_digest(trace) -> str:
+    rows = [[r.timestamp_us, r.op, r.offset_bytes, r.size_bytes]
+            for r in trace]
+    blob = json.dumps(rows, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+#: SHA-256 of ``generate(name, n_requests=500, user_pages=20_000, seed=7)``
+#: (timestamp, op, offset, size rows as compact JSON).  Pins the request
+#: stream, including which uniform draw picks each request size.
+GOLDEN_TRACES = {
+    "Ali2": "3ba5da3cd48c152ef048bc6517434185d5da54eb5edb22aec1f15447ea55fa15",
+    "Ali46": "945e4523a1fcac51dac40b741caa2300681eaa21b8acaf782dd2d447df02c8ce",
+    "Ali81": "7784be17b3ae42dca3492498c996bfef3a6133746e1ba3bd542dcf6966a224df",
+    "Ali121": "d15a45b86ee9ed87ae93edc0e041b1a5db7a0bcc93499c81655f1dade0ccfd91",
+    "Ali124": "97ea9ba8722746f1f93bf2f7c8149e53396743d55d4c3b1fd2208fa6244cbe92",
+    "Ali295": "64e090f5bea15b8c98cf4eb46845f7ee6a692218f87600efe3c46fa530d84e74",
+    "Sys0": "dfd1aebdcf5b4a7265686dd6192a3aed2ffb5e1623f3164294d410eb406b6210",
+    "Sys1": "fd1eaba0a58f14a4794fe4bc3e6cbe6ed21c133a056ba3b36799e0dbdd6c45e5",
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_TRACES))
+def test_generated_trace_matches_golden_digest(name):
+    trace = generate(name, n_requests=500, user_pages=20_000, seed=7)
+    assert _trace_digest(trace) == GOLDEN_TRACES[name]
+
+
+def test_default_seed_is_stable_across_processes():
+    """``seed=None`` derives the seed from the workload name with a stable
+    digest, so two interpreters with different string-hash salts produce
+    the same trace."""
+    script = ("from repro.workloads import generate; "
+              "t = generate('Ali2', n_requests=50, user_pages=2000); "
+              "print([(r.timestamp_us, r.op, r.offset_bytes, r.size_bytes) "
+              "for r in t])")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True,
+            capture_output=True, text=True).stdout)
+    assert outputs[0] == outputs[1] and outputs[0].startswith("[(")
