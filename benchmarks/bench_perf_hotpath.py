@@ -7,7 +7,7 @@ the qualitative claim is that every optimization actually pays for
 itself (ratio above the gate's tolerance-relaxed floor).
 
 The end-to-end cells are exercised by the CI ``bench-smoke`` job via
-``python -m repro.perf check``; re-timing them here would double the
+``python -m repro perf check``; re-timing them here would double the
 suite's wall time for no extra signal.
 """
 

@@ -64,7 +64,7 @@ def main() -> None:
         status = "PASS" if report.passed else "FAIL"
         print(f"   {status}  {report.subject:<8} vs {report.slo}")
     print("\nScale the same spec to thousands of drives with "
-          "`python -m repro.fleet run --jobs N --ledger DIR` — the ledger "
+          "`python -m repro fleet run --jobs N --ledger DIR` — the ledger "
           "makes it\ncrash-resumable with, again, a bit-identical rollup.")
 
 

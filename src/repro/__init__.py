@@ -18,7 +18,7 @@ Layers (bottom-up):
 * :mod:`repro.campaign` — declarative :class:`~repro.campaign.RunSpec`
   grids, serial/process-parallel executors, content-addressed result cache.
 * :mod:`repro.experiments` — one module per paper table/figure;
-  ``python -m repro.experiments --list``.
+  ``python -m repro experiments --list``.
 
 Quickstart::
 

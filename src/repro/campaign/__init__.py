@@ -14,7 +14,7 @@ that structure explicit:
   campaign executes through (submit/poll/stream/cancel, priorities,
   ``max_in_flight`` backpressure, deterministic ordering), plus
   :func:`run_campaign`, the one shared replay/execute/observe driver
-  behind both :func:`run_specs` and :func:`run_specs_durable`;
+  behind :func:`run_specs`, with or without a ledger;
 * :mod:`.executor` — :class:`SerialExecutor` / :class:`ParallelExecutor`,
   the scheduler backends (``jobs=N`` gives bit-identical results to
   ``jobs=1``), and the :func:`run_specs` entry point; the parallel
@@ -29,7 +29,7 @@ that structure explicit:
   (a write-ahead JSONL journal of per-cell state transitions),
   checkpoint/resume via ``run_specs(..., ledger_dir=...)``, supervised
   SIGINT/SIGTERM shutdown, and :func:`verify_ledger` (the fsck behind
-  ``python -m repro.campaign verify-ledger``);
+  ``python -m repro campaign verify-ledger``);
 * :mod:`.serialize` — exact JSON round-tripping of results;
 * :mod:`.progress` — per-cell completion and wall-clock hooks, including
   the streaming telemetry reporters (:class:`LiveProgress` rewriting
@@ -43,7 +43,6 @@ from .durable import (
     RunLedger,
     grid_hash,
     replay_ledger,
-    run_specs_durable,
     verify_ledger,
 )
 from .executor import (
@@ -101,7 +100,6 @@ __all__ = [
     "JOB_STATES",
     "run_campaign",
     "run_specs",
-    "run_specs_durable",
     "ResultCache",
     "RunLedger",
     "CampaignFaultDriver",

@@ -14,7 +14,7 @@ and against on-disk corruption:
   stale, or mismatched entry reads as a *miss*, never as a wrong result;
 * **quarantine, not crash** — a damaged entry is moved aside to
   ``<root>/quarantine/`` with a warning so the evidence survives for
-  ``python -m repro.campaign verify-ledger`` while the campaign simply
+  ``python -m repro campaign verify-ledger`` while the campaign simply
   recomputes the cell.
 
 ``torn_write_hook`` is the fault-injection seam used by the chaos tests

@@ -31,7 +31,7 @@ itself* crash-safe:
   at a deterministic completed-cell index so the crash-recovery tests can
   hit every window, including mid-cache-write.
 
-``python -m repro.campaign verify-ledger DIR`` runs :func:`verify_ledger`,
+``python -m repro campaign verify-ledger DIR`` runs :func:`verify_ledger`,
 the fsck of this format: per-line CRC validation, state reconstruction,
 claim-lease status, and a checksum scan of the cache (including torn
 writes the atomic writer could never produce on its own).
@@ -252,7 +252,7 @@ class RunLedger:
     """
 
     def __init__(self, directory, specs: Sequence[RunSpec],
-                 lease_s: float = 900.0, fsync: bool = True):
+                 lease_s: float = 900.0):
         if lease_s <= 0:
             raise ConfigError("lease_s must be positive")
         self.root = Path(directory).expanduser()
@@ -262,7 +262,6 @@ class RunLedger:
         self.cells = {spec.content_hash(): spec for spec in self.specs}
         self.grid = grid_hash(self.specs)
         self.lease_s = float(lease_s)
-        self.fsync = fsync
 
         replay = replay_ledger(self.path, strict=True)
         if replay.grid is not None and replay.grid != self.grid:
@@ -305,8 +304,7 @@ class RunLedger:
             return
         self._handle.write(encode_record(record))
         self._handle.flush()
-        if self.fsync:
-            os.fsync(self._handle.fileno())
+        os.fsync(self._handle.fileno())
 
     # --- state queries ----------------------------------------------------
 
@@ -484,46 +482,31 @@ def deliver_termination_as_interrupt():
         signal.signal(signal.SIGTERM, previous)
 
 
-def run_specs_durable(
-    specs: Sequence[RunSpec],
-    jobs: Optional[int] = 1,
-    cache: "ResultCache | str | os.PathLike | None" = None,
-    progress=None,
-    cell_timeout_s: Optional[float] = None,
-    max_cell_retries: int = 1,
-    on_failure: str = "raise",
-    ledger_dir: "str | os.PathLike | None" = None,
-    lease_s: float = 900.0,
-    campaign_faults: "FaultPlan | dict | None" = None,
-    fsync: bool = True,
-    fleet=None,
-    max_in_flight: Optional[int] = None,
-):
-    """The ledger-backed body of :func:`~repro.campaign.executor.run_specs`
-    (which delegates here whenever ``ledger_dir`` is given).
+@contextmanager
+def _ledger_hooks(specs: Sequence[RunSpec], cache, ledger_dir, lease_s: float,
+                  campaign_faults: "FaultPlan | dict | None",
+                  on_failure: str):
+    """The :func:`~repro.campaign.scheduler.run_campaign` hooks that make
+    :func:`~repro.campaign.executor.run_specs` durable when it is given a
+    ``ledger_dir``; the ledger is closed when the block exits.
 
     Every completed cell is journaled ``claim`` → (cache write) → ``done``
     in write-ahead order, so a SIGKILL between any two instructions leaves
     a journal the next invocation recovers from: the worst case re-runs
-    exactly the in-flight cells.  Structurally this is
-    :func:`~repro.campaign.scheduler.run_campaign` with the ledger wired
-    into its hooks: ``replay`` serves ledger/cache state, ``on_fresh``
-    journals completions (and fires the chaos windows), ``on_claim``
-    journals claims.  See the module docstring for the full contract.
+    exactly the in-flight cells.  ``replay`` serves ledger/cache state,
+    ``on_fresh`` journals completions (and fires the chaos windows),
+    ``on_claim`` journals claims.  See the module docstring for the full
+    contract.
     """
     from .executor import CellFailure
-    from .scheduler import JobScheduler, run_campaign
 
-    if ledger_dir is None:
-        raise ConfigError("run_specs_durable requires ledger_dir")
     ledger_root = Path(ledger_dir).expanduser()
     if cache is None:
-        cache = ResultCache(ledger_root / LEDGER_CACHE_DIR, fsync=fsync)
+        cache = ResultCache(ledger_root / LEDGER_CACHE_DIR)
     elif not isinstance(cache, ResultCache):
-        cache = ResultCache(cache, fsync=fsync)
+        cache = ResultCache(cache)
     driver = CampaignFaultDriver(campaign_faults)
-    unique: List[RunSpec] = list(dict.fromkeys(specs))
-    ledger = RunLedger(ledger_root, unique, lease_s=lease_s, fsync=fsync)
+    ledger = RunLedger(ledger_root, specs, lease_s=lease_s)
 
     def replay(spec: RunSpec):
         """Ledger/cache disposition of one cell: a replayed outcome, or
@@ -572,26 +555,21 @@ def run_specs_durable(
         else:
             ledger.failed(spec, outcome)
 
-    scheduler = JobScheduler(jobs=jobs, cell_timeout_s=cell_timeout_s,
-                             max_cell_retries=max_cell_retries,
-                             on_failure=on_failure,
-                             max_in_flight=max_in_flight)
     try:
-        return run_campaign(
-            scheduler, unique,
-            replay=replay, on_fresh=on_fresh, on_claim=ledger.claim,
-            progress=progress, fleet=fleet,
-            execution_guard=deliver_termination_as_interrupt,
-            catch_signals=True,
-            on_interrupt=ledger.interrupt,
-            on_finish=lambda executed, replayed: ledger.finish(
+        yield {
+            "replay": replay,
+            "on_fresh": on_fresh,
+            "on_claim": ledger.claim,
+            "execution_guard": deliver_termination_as_interrupt,
+            "on_interrupt": ledger.interrupt,
+            "on_finish": lambda executed, replayed: ledger.finish(
                 executed=executed, cached=replayed),
-            resume_hint=(
+            "resume_hint": (
                 "re-run the identical grid with "
                 f"ledger_dir={str(ledger_root)!r} to resume; finished "
                 "cells replay from the ledger without recomputation"
             ),
-        )
+        }
     finally:
         ledger.close()
 

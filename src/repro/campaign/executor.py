@@ -40,6 +40,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -570,7 +571,6 @@ def run_specs(
     campaign_faults=None,
     fleet=None,
     max_in_flight: Optional[int] = None,
-    fsync: bool = True,
 ) -> Dict[RunSpec, CellOutcome]:
     """Execute a campaign: cache lookup, (parallel) execution, cache fill.
 
@@ -606,39 +606,34 @@ def run_specs(
     the executor at once (backpressure for very large grids); ``None``
     runs everything in a single wave.  Results are identical either way.
     """
-    if ledger_dir is not None:
-        from .durable import run_specs_durable
-
-        return run_specs_durable(
-            specs, jobs=jobs, cache=cache, progress=progress,
-            cell_timeout_s=cell_timeout_s, max_cell_retries=max_cell_retries,
-            on_failure=on_failure, ledger_dir=ledger_dir, lease_s=lease_s,
-            campaign_faults=campaign_faults, fsync=fsync, fleet=fleet,
-            max_in_flight=max_in_flight,
-        )
     from .scheduler import JobScheduler, run_campaign
-
-    if campaign_faults is not None:
-        raise ConfigError("campaign_faults requires ledger_dir (the durable "
-                          "runtime is what consumes them)")
-    if cache is not None and not isinstance(cache, ResultCache):
-        cache = ResultCache(cache, fsync=fsync)
-
-    replay = cache.get if cache is not None else None
-
-    def on_fresh(spec: RunSpec, outcome: CellOutcome) -> None:
-        if isinstance(outcome, SimulationResult):
-            cache.put(spec, outcome)
 
     scheduler = JobScheduler(jobs=jobs, cell_timeout_s=cell_timeout_s,
                              max_cell_retries=max_cell_retries,
                              on_failure=on_failure,
                              max_in_flight=max_in_flight)
-    return run_campaign(
-        scheduler, specs,
-        replay=replay,
-        on_fresh=on_fresh if cache is not None else None,
-        progress=progress, fleet=fleet,
-        resume_hint="re-run with a --cache (or --ledger) directory "
-                    "to keep finished cells",
-    )
+    if ledger_dir is not None:
+        from .durable import _ledger_hooks
+
+        hooks = _ledger_hooks(specs, cache, ledger_dir, lease_s,
+                              campaign_faults, on_failure)
+    else:
+        if campaign_faults is not None:
+            raise ConfigError("campaign_faults requires ledger_dir (the "
+                              "durable runtime is what consumes them)")
+        if cache is not None and not isinstance(cache, ResultCache):
+            cache = ResultCache(cache)
+
+        def on_fresh(spec: RunSpec, outcome: CellOutcome) -> None:
+            if isinstance(outcome, SimulationResult):
+                cache.put(spec, outcome)
+
+        hooks = nullcontext({
+            "replay": cache.get if cache is not None else None,
+            "on_fresh": on_fresh if cache is not None else None,
+            "resume_hint": "re-run with a --cache (or --ledger) directory "
+                           "to keep finished cells",
+        })
+    with hooks as campaign_hooks:
+        return run_campaign(scheduler, specs, progress=progress, fleet=fleet,
+                            **campaign_hooks)

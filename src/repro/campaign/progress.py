@@ -4,7 +4,7 @@ Executors call a :class:`ProgressHook` once per completed cell (whether
 computed or served from the cache) plus start/finish notifications.
 :class:`CampaignStats` aggregates those events into the numbers a caller
 usually wants (cells executed vs cached, wall clock); :class:`PrintProgress`
-additionally narrates each cell to a stream — what the CLI runner shows
+additionally narrates each cell to a stream — what the CLI shows
 with ``--progress``.
 
 The streaming reporters forward the same events as telemetry

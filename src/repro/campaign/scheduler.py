@@ -15,10 +15,9 @@ campaign driver:
   (backpressure for fleet-scale campaigns).  Because every cell is a pure
   function of its spec, scheduling order can never leak into a result:
   the scheduler's wave shape changes wall-clock behaviour only.
-* :func:`run_campaign` — the shared campaign driver behind
-  :func:`~repro.campaign.executor.run_specs` and
-  :func:`~repro.campaign.durable.run_specs_durable`.  It owns the logic
-  those two used to duplicate: spec dedupe, replay of already-known cells
+* :func:`run_campaign` — the campaign driver behind
+  :func:`~repro.campaign.executor.run_specs`, with or without a ledger.
+  It owns spec dedupe, replay of already-known cells
   (cache or ledger), fresh execution through the scheduler, folding every
   outcome into a :class:`~repro.obs.registry.FleetAggregator` *in spec
   order* (so serial and parallel float sums are bit-identical), progress
@@ -360,16 +359,14 @@ def run_campaign(
     fleet=None,
     resume_hint: Optional[str] = None,
     execution_guard=None,
-    catch_signals: bool = False,
     on_interrupt: Optional[Callable[[str], None]] = None,
     on_finish: Optional[Callable[[int, int], None]] = None,
 ) -> Dict[RunSpec, CellOutcome]:
     """Drive one campaign through a scheduler: replay, execute, observe.
 
-    This is the single body behind both
-    :func:`~repro.campaign.executor.run_specs` (cache replay) and
-    :func:`~repro.campaign.durable.run_specs_durable` (ledger replay);
-    the callers differ only in the hooks they pass:
+    This is the single body behind
+    :func:`~repro.campaign.executor.run_specs`; its cache path and its
+    ledger path differ only in the hooks they pass:
 
     * ``replay(spec)`` — return a known outcome (cache hit, ledger
       ``done``/``failed`` replay) or ``None`` to execute the cell.  May
@@ -380,10 +377,10 @@ def run_campaign(
     * ``on_claim(spec)`` — forwarded to the backend (ledger ``claim``).
     * ``execution_guard`` — context manager wrapping fresh execution
       (the durable runtime's SIGTERM→KeyboardInterrupt conversion).
-    * ``catch_signals`` — whether a *raw* KeyboardInterrupt (not just a
-      :class:`~repro.errors.CampaignInterrupted`) is converted into the
-      graceful-interrupt contract; the durable runtime says yes, the
-      plain path lets Ctrl-C outside execution propagate as-is.
+      With a guard, a *raw* KeyboardInterrupt (not just a
+      :class:`~repro.errors.CampaignInterrupted`) is also converted into
+      the graceful-interrupt contract; without one (the plain path),
+      Ctrl-C outside execution propagates as-is.
     * ``on_interrupt(message)`` / ``on_finish(executed, replayed)`` —
       journaling hooks, invoked before the corresponding progress hooks.
 
@@ -428,9 +425,7 @@ def run_campaign(
                 if progress is not None:
                     progress.on_result(spec, outcome, elapsed, cached=False)
 
-            guard = (execution_guard if execution_guard is not None
-                     else nullcontext)
-            with guard():
+            with (execution_guard or nullcontext)():
                 finished = scheduler.run(_report, on_claim)
             for spec in to_run:
                 results[spec] = finished[spec]
@@ -449,7 +444,7 @@ def run_campaign(
             progress.on_finish(time.perf_counter() - started)
         return {spec: results[spec] for spec in unique}
     except KeyboardInterrupt as exc:  # includes CampaignInterrupted
-        if not isinstance(exc, CampaignInterrupted) and not catch_signals:
+        if not isinstance(exc, CampaignInterrupted) and execution_guard is None:
             raise
         partial = dict(results)
         if isinstance(exc, CampaignInterrupted):

@@ -1,10 +1,13 @@
 """Experiment registry: one module per table/figure of the paper.
 
 Every experiment exposes ``run(scale=..., seed=...) -> ExperimentResult``
-and registers itself under the paper's artefact id.  Use the CLI::
+and registers itself under the paper's artefact id; the campaign
+experiments (``register(..., campaign=True)``) also pass
+:func:`~repro.campaign.run_specs`' execution keywords through.  Use the
+CLI::
 
-    python -m repro.experiments --list
-    python -m repro.experiments fig17 --scale small
+    python -m repro experiments --list
+    python -m repro experiments fig17 --scale small
 
 ``scale='small'`` finishes in seconds on a laptop; ``scale='full'`` uses
 larger Monte-Carlo budgets and trace lengths for tighter estimates.

@@ -1,20 +1,18 @@
 """Shared helpers for the SSD-level experiments (Figs. 6, 17, 18, 19).
 
 The grid machinery itself lives in :mod:`repro.campaign`; this module keeps
-the paper's evaluation constants and :func:`run_grid`, now a thin wrapper
-over the campaign layer that adds parallel execution (``jobs``), an
-optional on-disk result cache (``cache_dir``) and progress hooks without
-changing a single number: serial, parallel, and cached runs all produce
-identical results because every cell is rebuilt from its seeded spec.
+the paper's evaluation constants and :func:`run_grid`, a thin wrapper that
+keys a :func:`~repro.campaign.executor.run_specs` grid by (workload, P/E,
+policy).  Serial, parallel, and cached runs all produce identical results
+because every cell is rebuilt from its seeded spec.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..campaign import SsdScale, grid_specs, run_specs, ssd_scale
-from ..campaign.progress import ProgressHook
 from ..errors import ConfigError
 from ..ssd import SimulationResult
 
@@ -42,32 +40,19 @@ def run_grid(
     pe_points: Sequence[float] = PE_POINTS,
     scale: str = "small",
     seed: int = 7,
-    jobs: Optional[int] = 1,
-    cache_dir: Optional[str] = None,
-    progress: Optional[ProgressHook] = None,
-    ledger_dir: Optional[str] = None,
-    fleet=None,
-    max_in_flight: Optional[int] = None,
+    **execution,
 ) -> Dict[Tuple[str, float, str], SimulationResult]:
     """Run every (workload, P/E, policy) combination once.
 
     Traces are generated deterministically per workload and replayed
     identically against every policy, and every simulator uses the same
-    seed, so comparisons are paired.  ``jobs > 1`` executes cells on a
-    process pool; ``cache_dir`` skips cells already computed by an earlier
-    campaign — neither changes any result.  ``ledger_dir`` makes the
-    campaign durable (:mod:`repro.campaign.durable`): a killed or
-    interrupted grid resumes from its write-ahead ledger, and the resumed
-    results are bit-identical to an uninterrupted run.  ``fleet`` (a
-    :class:`repro.obs.registry.FleetAggregator`) observes every cell for
-    fleet-level metric rollups — passive, so it changes nothing either.
-    ``max_in_flight`` bounds how many cells each scheduler wave hands the
-    executor (backpressure for very large grids; results identical).
+    seed, so comparisons are paired.  ``execution`` goes to
+    :func:`~repro.campaign.executor.run_specs` unchanged (``jobs``,
+    ``cache``, ``ledger_dir``, ``progress``, ...); none of those options
+    changes any result.
     """
     specs = grid_specs(workloads, policies, pe_points, scale=scale, seed=seed)
-    results = run_specs(specs, jobs=jobs, cache=cache_dir, progress=progress,
-                        ledger_dir=ledger_dir, fleet=fleet,
-                        max_in_flight=max_in_flight)
+    results = run_specs(specs, **execution)
     keyed: Dict[Tuple[str, float, str], SimulationResult] = {}
     for spec, (workload, pe, policy) in zip(
         specs,

@@ -71,7 +71,8 @@ def run_timeline(policy: str):
     return ssd.sim.now, tracer
 
 
-@register("fig7", "Execution timeline of a 256-KiB read (SSDzero/SSDone/RiF)")
+@register("fig7", "Execution timeline of a 256-KiB read (SSDzero/SSDone/RiF)",
+          traces=True)
 def run(scale: str = "small", seed: int = 0,
         trace_out: Optional[str] = None) -> ExperimentResult:
     """``trace_out=DIR`` additionally exports each policy's execution

@@ -8,22 +8,18 @@ SENC: +23.8% (0K), +47.4% (1K), +72.1% (2K); over SWR +61.2% and over SWR+
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..workloads import workload_names
 from .common import FIG17_POLICIES, PE_POINTS, geomean, run_grid
 from .registry import ExperimentResult, register
 
 
-@register("fig17", "Normalized I/O bandwidth, all workloads and schemes")
-def run(scale: str = "small", seed: int = 7, jobs: int = 1,
-        cache_dir: Optional[str] = None, progress=None,
-        ledger_dir: Optional[str] = None,
-        max_in_flight: Optional[int] = None) -> ExperimentResult:
+@register("fig17", "Normalized I/O bandwidth, all workloads and schemes",
+          campaign=True)
+def run(scale: str = "small", seed: int = 7,
+        **execution) -> ExperimentResult:
     workloads = workload_names()
     results = run_grid(workloads, FIG17_POLICIES, PE_POINTS, scale, seed,
-                       jobs=jobs, cache_dir=cache_dir, progress=progress,
-                       ledger_dir=ledger_dir, max_in_flight=max_in_flight)
+                       **execution)
     rows = []
     headline = {}
     for pe in PE_POINTS:

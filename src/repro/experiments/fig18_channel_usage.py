@@ -8,8 +8,6 @@ while RiFSSD's UNCOR share is 1.8% in Ali121 at 2K (vs 19.9% for RPSSD).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .common import PE_POINTS, run_grid
 from .registry import ExperimentResult, register
 
@@ -17,14 +15,12 @@ WORKLOADS = ("Ali121", "Ali124")
 POLICIES = ("SENC", "SWR", "SWR+", "RPSSD", "RiFSSD")
 
 
-@register("fig18", "Channel usage breakdown (COR/UNCOR/ECCWAIT/IDLE)")
-def run(scale: str = "small", seed: int = 7, jobs: int = 1,
-        cache_dir: Optional[str] = None, progress=None,
-        ledger_dir: Optional[str] = None,
-        max_in_flight: Optional[int] = None) -> ExperimentResult:
+@register("fig18", "Channel usage breakdown (COR/UNCOR/ECCWAIT/IDLE)",
+          campaign=True)
+def run(scale: str = "small", seed: int = 7,
+        **execution) -> ExperimentResult:
     results = run_grid(WORKLOADS, POLICIES, PE_POINTS, scale, seed,
-                       jobs=jobs, cache_dir=cache_dir, progress=progress,
-                       ledger_dir=ledger_dir, max_in_flight=max_in_flight)
+                       **execution)
     rows = []
     headline = {}
     for workload in WORKLOADS:

@@ -8,8 +8,6 @@ p50/p95/p99/p99.9 (the sample counts cannot resolve p99.99).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .common import PE_POINTS, run_grid
 from .registry import ExperimentResult, register
 
@@ -18,14 +16,12 @@ POLICIES = ("SENC", "SWR", "SWR+", "RPSSD", "RiFSSD")
 PERCENTILES = (50.0, 95.0, 99.0, 99.9)
 
 
-@register("fig19", "Read-latency CDF and tail latency in Ali124")
-def run(scale: str = "small", seed: int = 7, jobs: int = 1,
-        cache_dir: Optional[str] = None, progress=None,
-        ledger_dir: Optional[str] = None,
-        max_in_flight: Optional[int] = None) -> ExperimentResult:
+@register("fig19", "Read-latency CDF and tail latency in Ali124",
+          campaign=True)
+def run(scale: str = "small", seed: int = 7,
+        **execution) -> ExperimentResult:
     results = run_grid((WORKLOAD,), POLICIES, PE_POINTS, scale, seed,
-                       jobs=jobs, cache_dir=cache_dir, progress=progress,
-                       ledger_dir=ledger_dir, max_in_flight=max_in_flight)
+                       **execution)
     rows = []
     for pe in PE_POINTS:
         for policy in POLICIES:

@@ -24,8 +24,6 @@ campaign, and the learned state rides along in the result JSON
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..campaign import RunSpec, run_specs
 from .registry import ExperimentResult, register
 
@@ -61,20 +59,17 @@ def _spec(workload: str, policy: str, refresh_days: float,
     )
 
 
-@register("frontier", "Adaptive-policy frontier across retention ages")
-def run(scale: str = "small", seed: int = 7, jobs: int = 1,
-        cache_dir: Optional[str] = None, progress=None,
-        ledger_dir: Optional[str] = None, fleet=None,
-        max_in_flight: Optional[int] = None) -> ExperimentResult:
+@register("frontier", "Adaptive-policy frontier across retention ages",
+          campaign=True)
+def run(scale: str = "small", seed: int = 7,
+        **execution) -> ExperimentResult:
     specs = {
         (workload, days, policy): _spec(workload, policy, days, scale, seed)
         for workload in FRONTIER_WORKLOADS
         for days in RETENTION_DAYS
         for policy in FRONTIER_POLICIES
     }
-    results = run_specs(list(specs.values()), jobs=jobs, cache=cache_dir,
-                        progress=progress, ledger_dir=ledger_dir, fleet=fleet,
-                        max_in_flight=max_in_flight)
+    results = run_specs(list(specs.values()), **execution)
 
     rows = []
     for workload in FRONTIER_WORKLOADS:

@@ -66,23 +66,32 @@ class ExperimentResult:
 
 @dataclass(frozen=True)
 class Experiment:
-    """A registered experiment."""
+    """A registered experiment.
+
+    ``campaign`` experiments run a :func:`~repro.campaign.run_specs` grid
+    and accept its execution keywords (``jobs``, ``cache``, ...);
+    ``traces`` experiments accept ``trace_out=DIR``.
+    """
 
     experiment_id: str
     title: str
     run: Callable[..., ExperimentResult]
+    campaign: bool = False
+    traces: bool = False
 
 
 EXPERIMENTS: Dict[str, Experiment] = {}
 
 
-def register(experiment_id: str, title: str):
+def register(experiment_id: str, title: str, campaign: bool = False,
+             traces: bool = False):
     """Decorator registering a ``run(scale, seed) -> ExperimentResult``."""
 
     def wrap(fn: Callable[..., ExperimentResult]) -> Callable[..., ExperimentResult]:
         if experiment_id in EXPERIMENTS:
             raise ConfigError(f"duplicate experiment id {experiment_id!r}")
-        EXPERIMENTS[experiment_id] = Experiment(experiment_id, title, fn)
+        EXPERIMENTS[experiment_id] = Experiment(experiment_id, title, fn,
+                                                campaign, traces)
         return fn
 
     return wrap

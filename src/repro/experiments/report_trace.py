@@ -8,8 +8,8 @@ per-tag breakdown plus the longest individual spans — a quick look at
 
 Usage::
 
-    python -m repro.experiments report-trace out/trace_RiFSSD.json
-    python -m repro.experiments report-trace out/*.json --top 5
+    python -m repro experiments report-trace out/trace_RiFSSD.json
+    python -m repro experiments report-trace out/*.json --top 5
 """
 
 from __future__ import annotations
@@ -57,11 +57,3 @@ def format_trace_report(path, top: int = 10) -> str:
     """The rendered plain-text report for one trace file."""
     return "\n\n".join(t.format_table() for t in trace_report(path, top=top))
 
-
-def main(paths: List[str], top: int = 10) -> int:
-    """CLI entry point (dispatched from :mod:`repro.experiments.runner`)."""
-    for i, path in enumerate(paths):
-        if i:
-            print()
-        print(format_trace_report(path, top=top))
-    return 0

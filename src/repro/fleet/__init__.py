@@ -7,7 +7,7 @@ Turns the single-drive simulator into a datacenter-fleet study:
 * :mod:`.service` — :func:`run_fleet` executes a whole population as one
   scheduler-backed campaign, streaming every drive into a
   :class:`~repro.obs.registry.FleetAggregator` rollup.
-* :mod:`.__main__` — ``python -m repro.fleet`` CLI:
+* ``python -m repro fleet`` (:mod:`repro.cli`):
   ``generate`` / ``run`` / ``report`` / ``diff``.
 
 The whole package is a thin client of the campaign layer — fleets

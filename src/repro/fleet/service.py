@@ -79,7 +79,7 @@ class FleetRunResult:
                 if not hasattr(outcome, "metrics")}
 
     def to_payload(self) -> dict:
-        """The JSON document ``python -m repro.fleet run`` writes."""
+        """The JSON document ``python -m repro fleet run`` writes."""
         return {
             "fleet": self.fleet.to_dict(),
             "fleet_hash": self.fleet.content_hash(),
@@ -98,25 +98,17 @@ def fleet_specs(fleet: FleetSpec) -> List[RunSpec]:
 
 def run_fleet(
     fleet: FleetSpec,
-    jobs: Optional[int] = 1,
-    cache=None,
     progress=None,
-    ledger_dir=None,
-    lease_s: float = 900.0,
-    campaign_faults=None,
     fleet_aggregator: Optional[FleetAggregator] = None,
-    max_in_flight: Optional[int] = None,
-    cell_timeout_s: Optional[float] = None,
-    max_cell_retries: int = 1,
-    on_failure: str = "record",
-    fsync: bool = True,
+    **execution,
 ) -> FleetRunResult:
     """Simulate every drive of ``fleet`` as one campaign.
 
-    Thin client of :func:`~repro.campaign.executor.run_specs` — all the
-    campaign knobs mean exactly what they mean there.  Defaults differ in
-    one place: ``on_failure="record"``, because one sick drive must not
-    kill a thousand-drive fleet (its failure lands in
+    Thin client of :func:`~repro.campaign.executor.run_specs`: every
+    keyword in ``execution`` (``jobs``, ``cache``, ``ledger_dir``, ...)
+    means exactly what it means there.  Defaults differ in one place:
+    ``on_failure="record"``, because one sick drive must not kill a
+    thousand-drive fleet (its failure lands in
     :meth:`FleetRunResult.failures` and the rollup's ``failed`` counter
     instead).  ``fleet_aggregator`` lets a caller accumulate several
     fleets into one rollup; by default each run gets a fresh one.
@@ -127,21 +119,8 @@ def run_fleet(
                   else FleetAggregator())
     stats = CampaignStats()
     hooks = stats if progress is None else MultiProgress([stats, progress])
-    results = run_specs(
-        specs,
-        jobs=jobs,
-        cache=cache,
-        progress=hooks,
-        ledger_dir=ledger_dir,
-        lease_s=lease_s,
-        campaign_faults=campaign_faults,
-        fleet=aggregator,
-        max_in_flight=max_in_flight,
-        cell_timeout_s=cell_timeout_s,
-        max_cell_retries=max_cell_retries,
-        on_failure=on_failure,
-        fsync=fsync,
-    )
+    execution.setdefault("on_failure", "record")
+    results = run_specs(specs, progress=hooks, fleet=aggregator, **execution)
     outcomes = {drive.drive_id: results[spec]
                 for drive, spec in zip(drives, specs)}
     return FleetRunResult(

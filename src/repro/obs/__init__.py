@@ -26,7 +26,7 @@ simulation result, which the determinism tests pin down bit-for-bit.
 * :mod:`.dashboard` — Prometheus text exposition (+ validator), registry
   JSONL, the rewriting terminal fleet panel, and static HTML reports.
 
-``python -m repro.obs`` (see :mod:`.__main__`) exposes ``scrape``,
+``python -m repro obs`` (see :mod:`repro.cli`) exposes ``scrape``,
 ``slo-report``, and ``dashboard`` subcommands over these pieces.
 
 Import discipline: nothing here imports :mod:`repro.ssd` or

@@ -8,7 +8,7 @@ and the bench-regression gate.
 * :mod:`repro.perf.profile` — cProfile harness with per-subsystem phase
   buckets, plus sim-time phase totals piggybacked on ``SimTracer``.
 * :mod:`repro.perf.bench_gate` — the pinned benchmark suite behind the
-  ``python -m repro.perf`` CLI (``record`` / ``check`` / ``profile``),
+  ``python -m repro perf`` CLI (``record`` / ``check`` / ``profile``),
   producing ``BENCH_baseline.json`` / ``BENCH_current.json``.
 """
 

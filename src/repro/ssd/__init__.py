@@ -43,7 +43,7 @@ from .adaptive import (
     OptimalVrefCachePolicy,
     RetentionPredictorPolicy,
 )
-from .host import ClosedLoopHost, MultiQueueHost, TimedReplayHost
+from .host import ClosedLoopHost, TimedReplayHost
 from .refresh import RefreshAssessment, RefreshPlanner, fast_forward
 from .energy import EnergyBreakdown, EnergyConfig, EnergyModel
 
@@ -71,7 +71,6 @@ __all__ = [
     "TimelineTracer",
     "TimelineEvent",
     "ClosedLoopHost",
-    "MultiQueueHost",
     "TimedReplayHost",
     "RefreshPlanner",
     "RefreshAssessment",

@@ -22,53 +22,28 @@ import os
 from contextlib import contextmanager
 from typing import Iterator, List
 
-from ..errors import SimulationError
-
 #: Environment switch: any value other than empty/"0"/"false"/"no" forces
 #: the scalar reference core for simulators constructed while it is set.
 ENV_VAR = "REPRO_SCALAR_CORE"
 
-#: Stack of scoped overrides ("scalar" / "batched"); innermost wins and
-#: beats the environment variable.
+#: One entry per open :func:`scalar_core` block; any open block beats the
+#: environment variable.
 _FORCED: List[str] = []
-
-_CORES = ("batched", "scalar")
 
 
 def scalar_core_active() -> bool:
     """Whether a simulator constructed *now* should use the scalar core."""
     if _FORCED:
-        return _FORCED[-1] == "scalar"
+        return True
     return os.environ.get(ENV_VAR, "").strip().lower() not in (
         "", "0", "false", "no"
     )
-
-
-def resolve_core(core=None) -> str:
-    """Validate an explicit ``core`` argument or pick the ambient one."""
-    if core is None:
-        return "scalar" if scalar_core_active() else "batched"
-    if core not in _CORES:
-        raise SimulationError(
-            f"unknown core {core!r} (use 'batched' or 'scalar')"
-        )
-    return core
 
 
 @contextmanager
 def scalar_core() -> Iterator[None]:
     """Force the scalar reference core for simulators constructed within."""
     _FORCED.append("scalar")
-    try:
-        yield
-    finally:
-        _FORCED.pop()
-
-
-@contextmanager
-def batched_core() -> Iterator[None]:
-    """Force the batched core (e.g. to test it under REPRO_SCALAR_CORE=1)."""
-    _FORCED.append("batched")
     try:
         yield
     finally:

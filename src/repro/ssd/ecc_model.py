@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -146,30 +146,6 @@ class EccOutcomeModel:
         self._uniform_pos = pos + 1
         return float(chunk[pos])
 
-    def uniform_batch(self, n: int) -> np.ndarray:
-        """The next ``n`` uniforms of the stream as one array.
-
-        Drains the buffered chunk first, so interleaving batch and scalar
-        draws consumes the stream in strict call order — the contract that
-        lets the batched core pre-sample whole batches while staying
-        bit-identical to the scalar path.
-        """
-        if n < 0:
-            raise ConfigError("n must be non-negative")
-        out = np.empty(n, dtype=np.float64)
-        filled = 0
-        while filled < n:
-            pos = self._uniform_pos
-            chunk = self._uniform_chunk
-            if chunk is None or pos == len(chunk):
-                chunk = self._uniform_chunk = self.rng.random(_UNIFORM_CHUNK)
-                pos = 0
-            take = min(n - filled, len(chunk) - pos)
-            out[filled:filled + take] = chunk[pos:pos + take]
-            self._uniform_pos = pos + take
-            filled += take
-        return out
-
     # --- decode attempts -------------------------------------------------------------
 
     def first_decode(self, rber: float) -> DecodeDraw:
@@ -187,19 +163,6 @@ class EccOutcomeModel:
         if self._next_uniform() >= p_fail:
             return True, t_ok
         return False, t_fail
-
-    def first_decode_batch(self, rbers: Sequence[float]) -> List[DecodeDraw]:
-        """Decode outcomes for a batch of independent first senses: one
-        vectorized uniform draw for the whole batch, consumed in batch
-        order (exactly the stream positions the scalar loop would use)."""
-        us = self.uniform_batch(len(rbers))
-        draws = []
-        for rber, u in zip(rbers, us):
-            p_fail, t_ok, t_fail = self._decode_params(rber)
-            success = u >= p_fail
-            draws.append(DecodeDraw(success=bool(success),
-                                    t_ecc=t_ok if success else t_fail))
-        return draws
 
     def retry_rber(self, rber: float) -> float:
         """Effective RBER after a near-optimal VREF adjustment: the residual

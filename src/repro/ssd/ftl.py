@@ -372,9 +372,3 @@ class PageMapFtl:
             gc_copies=tuple(gc_copies),
             erased_blocks=tuple(erased),
         )
-
-    # --- introspection ---------------------------------------------------------------------------
-
-    def mapped_pages(self) -> int:
-        """Number of logical pages explicitly remapped this run."""
-        return len(self._map)

@@ -51,7 +51,7 @@ from ..perf.cache import caches_enabled
 from ..rng import SeedLike, make_rng, spawn
 from ..units import SEC
 from ..workloads.trace import IORequest, Trace
-from .core_mode import resolve_core
+from .core_mode import scalar_core_active
 from .ecc_model import EccOutcomeModel
 from .events import Simulator
 from .ftl import PageMapFtl
@@ -166,7 +166,6 @@ class SSDSimulator:
         trace_config: Optional[TraceConfig] = None,
         snapshot_interval_us: Optional[float] = None,
         keep_raw_latencies: bool = True,
-        core: Optional[str] = None,
     ):
         self.config = config or SSDConfig()
         self.sim = Simulator()
@@ -228,7 +227,7 @@ class SSDSimulator:
         #: which read-pipeline implementation executes this simulator:
         #: "batched" (the structure-of-arrays engine, default) or "scalar"
         #: (the closure-per-phase reference) — see repro.ssd.core_mode
-        self.core = resolve_core(core)
+        self.core = "scalar" if scalar_core_active() else "batched"
         #: with arbitration on, read transfers outrank writes/GC and
         #: un-gated traffic may bypass a decoder-stalled read (the channel
         #: keeps moving write data during ECCWAIT)
@@ -849,16 +848,6 @@ class SSDSimulator:
             cor=cor, uncor=uncor, write=write, gc=gc,
             eccwait=eccwait, idle=max(total - busy, 0.0),
         )
-
-    def scrape_metrics(self, registry=None, labels=None):
-        """Pull the run's metrics into a labeled registry
-        (:func:`repro.obs.registry.scrape_simulator`): SimMetrics counters
-        and latency histograms, per-channel busy/ECCWAIT time, decoder-
-        buffer occupancy, and the offline-die gauge.  Purely a read — a
-        scraped run stays bit-identical to an unscraped one."""
-        from ..obs.registry import scrape_simulator
-
-        return scrape_simulator(self, registry=registry, labels=labels)
 
     def export_chrome_trace(self, path, title: Optional[str] = None):
         """Write the run's trace as Chrome ``trace_event`` JSON (open in

@@ -1,6 +1,6 @@
 """Crash-recovery chaos family: SIGKILL the campaign, resume, compare.
 
-Each scenario runs the fixed ``python -m repro.campaign smoke-grid`` grid
+Each scenario runs the fixed ``python -m repro campaign smoke-grid`` grid
 in a subprocess with a ``campaign_kill`` fault scheduled at a randomized
 (seeded) completed-cell index, confirms the process died by SIGKILL, then
 resumes from the ledger in a fresh process and asserts the final results
@@ -33,7 +33,7 @@ def _run_cli(*args, env_extra=None):
     env = dict(os.environ, PYTHONPATH=REPO_SRC)
     env.update(env_extra or {})
     return subprocess.run(
-        [sys.executable, "-m", "repro.campaign", *args],
+        [sys.executable, "-m", "repro", "campaign", *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
 

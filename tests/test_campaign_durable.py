@@ -27,7 +27,7 @@ from repro.campaign import (
     run_specs,
     verify_ledger,
 )
-from repro.campaign.__main__ import main as campaign_cli
+from repro.cli import main as cli_main
 from repro.campaign.durable import (
     LEDGER_FILENAME,
     deliver_termination_as_interrupt,
@@ -438,14 +438,14 @@ def test_campaign_faults_require_ledger():
 
 def test_verify_ledger_cli_clean_and_damaged(tmp_path, capsys):
     run_specs(_grid(2), ledger_dir=tmp_path)
-    assert campaign_cli(["verify-ledger", str(tmp_path)]) == 0
+    assert cli_main(["campaign", "verify-ledger", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "status   OK" in out
 
     cache = ResultCache(tmp_path / "cache")
     entry = next(iter(sorted(cache.root.glob("*.json"))))
     entry.write_text(entry.read_text()[:100])  # injected torn write
-    assert campaign_cli(["verify-ledger", str(tmp_path), "--json"]) == 1
+    assert cli_main(["campaign", "verify-ledger", str(tmp_path), "--json"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert not report["ok"]
     assert len(report["cache"]["corrupt"]) == 1

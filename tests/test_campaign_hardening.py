@@ -19,7 +19,7 @@ from repro.campaign import (
     run_specs,
 )
 from repro.errors import CampaignExecutionError, ConfigError
-from repro.experiments import runner
+from repro import cli
 from repro.faults import FaultPlan, FaultSpec
 
 FAST = dict(n_requests=60, user_pages=2000, queue_depth=16)
@@ -307,8 +307,8 @@ def test_run_specs_serial_passes_hardening_knobs():
 def test_chaos_experiment_cli_smoke(tmp_path, capsys):
     """The ISSUE's CLI criterion: the chaos experiment runs end-to-end with
     ``--jobs 2 --cache`` and reports degradation metrics."""
-    rc = runner.main(["chaos", "--jobs", "2",
-                      "--cache", str(tmp_path / "cache")])
+    rc = cli.main(["experiments", "chaos", "--jobs", "2",
+                   "--cache", str(tmp_path / "cache")])
     assert rc == 0
     out = capsys.readouterr().out
     assert "chaos" in out

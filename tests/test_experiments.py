@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.experiments import EXPERIMENTS, get_experiment
 from repro.experiments.registry import ExperimentResult, register
-from repro.experiments.runner import main
+from repro.cli import main
 
 
 EXPECTED_IDS = {
@@ -85,12 +85,12 @@ def test_table2_errors_small():
 
 
 def test_runner_list(capsys):
-    assert main(["--list"]) == 0
+    assert main(["experiments", "--list"]) == 0
     out = capsys.readouterr().out
     assert "fig17" in out and "table2" in out
 
 
 def test_runner_executes_experiment(capsys):
-    assert main(["table1"]) == 0
+    assert main(["experiments", "table1"]) == 0
     out = capsys.readouterr().out
     assert "table1" in out and "finished" in out

@@ -41,9 +41,9 @@ def test_generate_report_runs_fast_experiments():
 
 
 def test_runner_report_flag(tmp_path, capsys):
-    from repro.experiments.runner import main
+    from repro.cli import main
 
     out = tmp_path / "report.md"
-    assert main(["table1", "overhead", "--report", str(out)]) == 0
+    assert main(["experiments", "table1", "overhead", "--report", str(out)]) == 0
     text = out.read_text()
     assert "## table1" in text and "## overhead" in text

@@ -172,7 +172,7 @@ FLEET_ARGS = ("--drives", "8", "--seed", "11", "--policies", "SENC,RiFSSD",
 def _run_cli(*args):
     env = dict(os.environ, PYTHONPATH=REPO_SRC)
     return subprocess.run(
-        [sys.executable, "-m", "repro.fleet", *args],
+        [sys.executable, "-m", "repro", "fleet", *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
 

@@ -132,7 +132,7 @@ def test_load_rejects_unknown_schema(tmp_path):
 
 
 def test_cli_check_exit_codes(tmp_path, monkeypatch):
-    from repro.perf import __main__ as cli
+    from repro import cli
 
     def fake_suite(**kwargs):
         return [_result("syndrome_pruned", "micro", 5.0)]
@@ -140,23 +140,23 @@ def test_cli_check_exit_codes(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_suite", fake_suite)
     monkeypatch.chdir(tmp_path)
     # no baseline: floors only, 5x passes
-    assert cli.main(["check", "--no-e2e"]) == 0
+    assert cli.main(["perf", "check", "--no-e2e"]) == 0
     assert (tmp_path / "BENCH_current.json").exists()
     # a demanding baseline turns the same run into a failure
     write_results([_result("syndrome_pruned", "micro", 50.0)],
                   tmp_path / "BENCH_baseline.json")
-    assert cli.main(["check", "--no-e2e"]) == 1
+    assert cli.main(["perf", "check", "--no-e2e"]) == 1
 
 
 def test_cli_record_writes_named_outputs(tmp_path, monkeypatch):
-    from repro.perf import __main__ as cli
+    from repro import cli
 
     monkeypatch.setattr(cli, "run_suite",
                         lambda **kwargs: [_result("x", "micro", 4.0)])
     monkeypatch.chdir(tmp_path)
-    assert cli.main(["record", "--no-e2e"]) == 0
+    assert cli.main(["perf", "record", "--no-e2e"]) == 0
     assert (tmp_path / "BENCH_current.json").exists()
-    assert cli.main(["record", "--no-e2e", "--baseline"]) == 0
+    assert cli.main(["perf", "record", "--no-e2e", "--baseline"]) == 0
     assert (tmp_path / "BENCH_baseline.json").exists()
 
 

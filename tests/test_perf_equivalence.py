@@ -29,7 +29,6 @@ from repro.obs import TraceConfig
 from repro.perf import kernels
 from repro.perf.cache import MemoCache, caches_disabled, caches_enabled
 from repro.ssd.core_mode import scalar_core
-from repro.ssd.ecc_model import EccOutcomeModel
 from repro.ssd.lut_reliability import LutReliabilitySampler
 from repro.ssd.reliability import PageReliabilitySampler
 from repro.ssd.simulator import SSDSimulator
@@ -316,15 +315,3 @@ def test_batched_core_matches_scalar_traced_under_faults():
         ssd_s, res_s = _traced_run(fault_plan=plan)
     assert res_b.to_dict() == res_s.to_dict()
     assert ssd_b.tracer.request_spans == ssd_s.tracer.request_spans
-
-
-def test_uniform_batch_preserves_stream_order():
-    """The vectorized-sampling contract: ``uniform_batch`` consumes the
-    model's uniform stream at exactly the positions the scalar draws
-    would, so batch and scalar calls interleave freely."""
-    a = EccOutcomeModel(seed=42)
-    b = EccOutcomeModel(seed=42)
-    got = list(a.uniform_batch(5)) + [a._next_uniform()] \
-        + list(a.uniform_batch(3))
-    want = [b._next_uniform() for _ in range(9)]
-    assert got == want

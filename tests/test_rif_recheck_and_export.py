@@ -8,7 +8,7 @@ from repro.config import NandTimings
 from repro.errors import ConfigError
 from repro.experiments.export import export_directory, result_to_csv
 from repro.experiments.registry import ExperimentResult
-from repro.experiments.runner import main
+from repro.cli import main
 from repro.ssd.ecc_model import EccOutcomeModel, ScriptedEccOutcomeModel
 from repro.ssd.retry_policies import make_policy
 
@@ -140,5 +140,5 @@ def test_empty_export_rejected(tmp_path):
 
 
 def test_runner_csv_flag(tmp_path, capsys):
-    assert main(["table1", "--csv", str(tmp_path)]) == 0
+    assert main(["experiments", "table1", "--csv", str(tmp_path)]) == 0
     assert (tmp_path / "table1.csv").exists()
