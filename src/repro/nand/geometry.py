@@ -109,8 +109,11 @@ class AddressMapper:
         """Inverse of :meth:`ppn` (memoized; addresses are immutable).
 
         Miss path hand-inlined with :meth:`MemoCache.get_or_compute`'s
-        exact counter discipline: every freshly written page carries a
-        never-seen ppn, so write-heavy runs miss here once per write."""
+        exact counter discipline.  The FTL's write, allocation and GC path
+        works on flat ppns and never decodes here; misses come from the
+        first read of each physical page (the scalar core's
+        :meth:`~repro.ssd.ftl.PageMapFtl.read`, the batched core's route
+        memo) and from callers that need the 5-tuple."""
         cache = self._address_cache
         if _perf_cache._ENABLED:
             table = self._address_table

@@ -38,33 +38,17 @@ class ReadTarget:
     block_read_count: int
 
 
-@dataclass(frozen=True)
-class GcCopy:
-    """One valid-page relocation performed by garbage collection."""
-
-    source: PageAddress
-    destination: PageAddress
-
-
-@dataclass(frozen=True)
-class WriteResult:
-    """Outcome of a logical write (or of a pure relocation, where no host
-    page is written and ``address`` is ``None``)."""
-
-    address: Optional[PageAddress]
-    gc_copies: Tuple[GcCopy, ...] = ()
-    erased_blocks: Tuple[Tuple[int, int], ...] = ()  # (plane_index, block)
-
-
 class _PlaneState:
-    """Per-plane allocator state."""
+    """Per-plane allocator state.  ``base`` is the ppn of page 0 of the
+    active block; page ``p`` of it is ``base + p * planes_total``."""
 
-    __slots__ = ("free_blocks", "active_block", "next_page")
+    __slots__ = ("free_blocks", "active_block", "next_page", "base")
 
     def __init__(self, free_blocks: List[int]):
         self.free_blocks = free_blocks
         self.active_block: Optional[int] = None
         self.next_page = 0
+        self.base = 0
 
 
 class PageMapFtl:
@@ -76,13 +60,17 @@ class PageMapFtl:
         self.mapper = AddressMapper(g)
         self._planes_total = g.total_planes
         self._pages_per_block = g.pages_per_block
+        # ppn = (block * pages_per_block + page) * planes_total + plane_index
+        # (AddressMapper's stripe order), so a block spans this many ppns,
+        # plane_index = ppn % planes_total and block = ppn // block_span
+        self._block_span = g.pages_per_block * self._planes_total
         if g.blocks_per_plane < 3:
             raise CapacityError("page-mapped GC needs >= 3 blocks per plane")
         # user-visible blocks per plane (identity / preconditioned region).
-        # At least two spare blocks per plane: with the pool never consumed
-        # below one block until invalid pages exist, greedy GC always has a
-        # relocation target (any victim holds <= pages_per_block - 1 live
-        # pages, which fits the reserved block).
+        # At least two spare blocks per plane: host writes never take a
+        # plane's last free block, so greedy GC always has a relocation
+        # target (any victim holds <= pages_per_block - 1 live pages, which
+        # fits the reserved block).
         self.user_blocks_per_plane = max(
             1,
             min(
@@ -107,7 +95,6 @@ class PageMapFtl:
             for _ in range(self._planes_total)
         ]
         self._write_cursor = 0  # round-robin plane selector for writes
-        self._in_gc = False
         self.gc_runs = 0
         self.pages_copied_by_gc = 0
         self.disturb_relocations = 0
@@ -119,10 +106,6 @@ class PageMapFtl:
     def _ppn_identity(self, lpn: int) -> int:
         """Identity placement of a pre-existing logical page."""
         return lpn
-
-    def _plane_and_block(self, ppn: int) -> Tuple[int, int]:
-        addr = self.mapper.address(ppn)
-        return self.mapper.plane_index_of(addr), addr.block
 
     def _check_lpn(self, lpn: int) -> None:
         if not 0 <= lpn < self.user_pages:
@@ -189,61 +172,98 @@ class PageMapFtl:
 
     # --- writes ------------------------------------------------------------------------
 
-    def write(self, lpn: int, now_us: float) -> WriteResult:
-        """Allocate a fresh physical page for ``lpn``; may trigger GC."""
-        self._check_lpn(lpn)
-        gc_copies: List[GcCopy] = []
-        erased: List[Tuple[int, int]] = []
+    def write(self, lpn: int, now_us: float) -> tuple:
+        """Allocate a fresh physical page for ``lpn``; may trigger GC.
+
+        Returns ``(ppn, gc_copies, erased_blocks)``: the page's new home,
+        the relocations GC made on the way as ``(src_ppn, dst_ppn)`` pairs
+        and the blocks it erased as ``(plane_index, block)`` pairs, both in
+        FTL order.  Both are empty unless the plane's write frontier had to
+        open a new block."""
+        if not 0 <= lpn < self.user_pages:
+            raise TraceError(f"lpn {lpn} outside user space [0, {self.user_pages})")
+        planes_total = self._planes_total
         pidx = self._write_cursor
-        self._write_cursor = (self._write_cursor + 1) % self._planes_total
-        # Allocate first: GC inside the allocation may relocate this lpn's
-        # current page, so the superseded location must be resolved *after*
-        # allocation for the invalidation bookkeeping to stay consistent.
-        ppn = self._allocate_page(pidx, now_us, gc_copies, erased)
-        old_ppn = self.current_ppn(lpn)
-        old_pidx, old_block = self._plane_and_block(old_ppn)
-        key = (old_pidx, old_block)
-        self._invalid_counts[key] = self._invalid_counts.get(key, 0) + 1
-        self._reverse.pop(old_ppn, None)
-        self.written_at_us.pop(old_ppn, None)
-        self._map[lpn] = ppn
-        self._reverse[ppn] = lpn
-        self.written_at_us[ppn] = now_us
-        return WriteResult(
-            address=self.mapper.address(ppn),
-            gc_copies=tuple(gc_copies),
-            erased_blocks=tuple(erased),
-        )
+        self._write_cursor = (pidx + 1) % planes_total
+        state = self._planes[pidx]
+        page = state.next_page
+        if state.active_block is not None and page < self._pages_per_block:
+            # the frontier has room: no block opens, so no GC can run
+            gc_copies = erased = ()
+        else:
+            gc_copies, erased = [], []
+            # Allocate first: GC inside the allocation may relocate this
+            # lpn's current page, so the superseded location must be
+            # resolved *after* allocation for the invalidation bookkeeping
+            # to stay consistent.
+            state = self._host_frontier(pidx, now_us, gc_copies, erased)
+            page = state.next_page
+        state.next_page = page + 1
+        ppn = state.base + page * planes_total
+        mapping = self._map
+        old_ppn = mapping.get(lpn, lpn)  # identity placement if untouched
+        key = (old_ppn % planes_total, old_ppn // self._block_span)
+        invalid = self._invalid_counts
+        invalid[key] = invalid.get(key, 0) + 1
+        reverse = self._reverse
+        written = self.written_at_us
+        reverse.pop(old_ppn, None)
+        written.pop(old_ppn, None)
+        mapping[lpn] = ppn
+        reverse[ppn] = lpn
+        written[ppn] = now_us
+        return ppn, gc_copies, erased
 
     # --- allocation & GC ---------------------------------------------------------------------
 
-    def _allocate_page(
+    def _host_frontier(
         self,
         pidx: int,
         now_us: float,
-        gc_copies: List[GcCopy],
+        gc_copies: List[Tuple[int, int]],
         erased: List[Tuple[int, int]],
-    ) -> int:
+    ) -> _PlaneState:
+        """A frontier with room for the host page whose round-robin turn is
+        plane ``pidx``, opening a block (after GC) where needed.
+
+        One free block per plane stays in reserve for GC relocations.  If
+        GC finds nothing to reclaim in a plane and only the reserve is left
+        (every closed block there holds only live data), the page goes to
+        the next plane, in round-robin order, that can take it."""
+        planes_total = self._planes_total
+        for step in range(planes_total):
+            p = (pidx + step) % planes_total
+            state = self._planes[p]
+            self._retire_full_active(state)
+            if state.active_block is None and len(state.free_blocks) <= 1:
+                self._collect_garbage(p, now_us, gc_copies, erased)
+                self._retire_full_active(state)
+            if state.active_block is not None:
+                return state
+            if len(state.free_blocks) > 1:
+                self._open_block(p, state)
+                return state
+        raise CapacityError(
+            "no plane can take a host page without spending its GC reserve")
+
+    def _gc_destination(self, pidx: int) -> int:
+        """The next page of plane ``pidx``'s frontier for a relocated page
+        (may open the reserve block; never collects garbage)."""
         state = self._planes[pidx]
         self._retire_full_active(state)
         if state.active_block is None:
-            # keep one block in reserve so GC relocations never deadlock;
-            # GC is a no-op when no block holds any invalid page
-            if not self._in_gc and len(state.free_blocks) <= 1:
-                self._collect_garbage(pidx, now_us, gc_copies, erased)
-                self._retire_full_active(state)
-            if state.active_block is None:
-                if not state.free_blocks:
-                    raise CapacityError(
-                        f"plane {pidx}: no free blocks and nothing to collect"
-                    )
-                state.active_block = self._pick_free_block(pidx, state)
-                state.next_page = 0
+            self._open_block(pidx, state)
         page = state.next_page
-        state.next_page += 1
-        channel, die, plane = self.mapper.plane_from_index(pidx)
-        addr = PageAddress(channel, die, plane, state.active_block, page)
-        return self.mapper.ppn(addr)
+        state.next_page = page + 1
+        return state.base + page * self._planes_total
+
+    def _open_block(self, pidx: int, state: _PlaneState) -> None:
+        if not state.free_blocks:
+            raise CapacityError(f"plane {pidx}: no free block to open")
+        block = self._pick_free_block(pidx, state)
+        state.active_block = block
+        state.next_page = 0
+        state.base = block * self._block_span + pidx
 
     def _pick_free_block(self, pidx: int, state: _PlaneState) -> int:
         """Wear-levelled allocation: take the least-erased free block (FIFO
@@ -270,7 +290,7 @@ class PageMapFtl:
         self,
         pidx: int,
         now_us: float,
-        gc_copies: List[GcCopy],
+        gc_copies: List[Tuple[int, int]],
         erased: List[Tuple[int, int]],
     ) -> None:
         """Greedy GC: reclaim the block with the fewest valid pages.
@@ -297,39 +317,40 @@ class PageMapFtl:
         pidx: int,
         victim: int,
         now_us: float,
-        gc_copies: List[GcCopy],
+        gc_copies: List[Tuple[int, int]],
         erased: List[Tuple[int, int]],
     ) -> None:
         """Relocate every live page of ``victim``, erase it, and return it
         to the plane's free pool.  Shared by GC and read-disturb
         relocation."""
         state = self._planes[pidx]
-        self._in_gc = True
-        channel, die, plane = self.mapper.plane_from_index(pidx)
+        mapping = self._map
+        reverse = self._reverse
+        written = self.written_at_us
         # relocate live pages: destination pages come from the same plane's
         # remaining frontier (the victim is erased afterwards, so GC frees
         # net space as long as the victim is not fully valid)
-        for page in range(self._pages_per_block):
-            src = PageAddress(channel, die, plane, victim, page)
-            src_ppn = self.mapper.ppn(src)
-            lpn = self._reverse.get(src_ppn)
+        first = victim * self._block_span + pidx
+        for src_ppn in range(first, first + self._block_span,
+                             self._planes_total):
+            lpn = reverse.get(src_ppn)
             if lpn is None:
                 # identity-region page: live iff its lpn was never remapped
                 if victim >= self.user_blocks_per_plane:
                     continue  # OP-region page with no owner: dead
                 implied_lpn = src_ppn
-                if self._map.get(implied_lpn, src_ppn) != src_ppn:
+                if mapping.get(implied_lpn, src_ppn) != src_ppn:
                     continue  # superseded: dead
                 lpn = implied_lpn
-            elif self._map.get(lpn) != src_ppn:
+            elif mapping.get(lpn) != src_ppn:
                 continue  # stale reverse entry
-            dst_ppn = self._allocate_page(pidx, now_us, gc_copies, erased)
-            self._map[lpn] = dst_ppn
-            self._reverse.pop(src_ppn, None)
-            self._reverse[dst_ppn] = lpn
-            self.written_at_us[dst_ppn] = now_us
-            self.written_at_us.pop(src_ppn, None)
-            gc_copies.append(GcCopy(source=src, destination=self.mapper.address(dst_ppn)))
+            dst_ppn = self._gc_destination(pidx)
+            mapping[lpn] = dst_ppn
+            reverse.pop(src_ppn, None)
+            reverse[dst_ppn] = lpn
+            written[dst_ppn] = now_us
+            written.pop(src_ppn, None)
+            gc_copies.append((src_ppn, dst_ppn))
             self.pages_copied_by_gc += 1
         # the victim is now empty: erase and return to the pool
         self._invalid_counts.pop((pidx, victim), None)
@@ -337,7 +358,6 @@ class PageMapFtl:
         self.erase_counts[(pidx, victim)] = self.erase_counts.get((pidx, victim), 0) + 1
         state.free_blocks.append(victim)
         erased.append((pidx, victim))
-        self._in_gc = False
 
     # --- read-disturb relocation --------------------------------------------------------------
 
@@ -346,29 +366,24 @@ class PageMapFtl:
         return self._block_reads.get((pidx, block), 0)
 
     def relocate_block(self, pidx: int, block: int, now_us: float
-                       ) -> Optional[WriteResult]:
+                       ) -> Optional[tuple]:
         """Proactively rewrite a block (read-disturb management): move its
         live pages elsewhere and erase it, clearing the read counter.
 
-        Returns the relocation traffic, or ``None`` when relocation is not
-        currently safe (the block is the active frontier or in the free
-        pool, or the plane has no spare block to relocate into)."""
+        Returns the relocation traffic in :meth:`write`'s shape, with
+        ``None`` for the ppn (no host page is written), or ``None`` when
+        there is nothing to relocate (the block is in the free pool) or no
+        spare block to relocate into."""
         state = self._planes[pidx]
-        if block in state.free_blocks:
+        if block in state.free_blocks or not state.free_blocks:
             return None
         if block == state.active_block:
             # an overheated write frontier is closed early; its unwritten
             # tail comes back when the block is erased below
             state.active_block = None
             state.next_page = 0
-        if not state.free_blocks:
-            return None  # defer until GC replenishes the pool
-        gc_copies: List[GcCopy] = []
+        gc_copies: List[Tuple[int, int]] = []
         erased: List[Tuple[int, int]] = []
         self._reclaim_block(pidx, block, now_us, gc_copies, erased)
         self.disturb_relocations += 1
-        return WriteResult(
-            address=None,  # no host page is written
-            gc_copies=tuple(gc_copies),
-            erased_blocks=tuple(erased),
-        )
+        return None, gc_copies, erased

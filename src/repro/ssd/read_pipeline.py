@@ -465,6 +465,8 @@ class ReadPipeline:
         self._eccs = ssd.eccs
         self._host_link = ssd.host_link
         self._plane_index_of = ssd.mapper.plane_index_of
+        self._wiring = ssd._plane_wiring
+        self._n_planes = len(ssd._plane_wiring)
         self._account_plan = ssd._account_plan
         self.attach_tracer(ssd.tracer)
         #: reads that mutate shared state mid-batch (fault mitigation,
@@ -896,20 +898,20 @@ class ReadPipeline:
         DMA -> plane program — so submission order on every shared
         resource, and with it every timestamp, is bit-identical.
         """
-        result = self.ftl.write(lpn, self.sim.now)
+        ppn, gc_copies, erased = self.ftl.write(lpn, self.sim.now)
         self.metrics.page_writes += 1
-        for copy in result.gc_copies:
-            self._start_gc_copy(copy.source, copy.destination)
-        self.metrics.gc_page_copies += len(result.gc_copies)
-        t_erase = self._t_erase
-        for pidx, _block in result.erased_blocks:
-            self._planes[pidx].occupy(t_erase, "ERASE", None)
-        address = result.address
+        if gc_copies:
+            for src_ppn, dst_ppn in gc_copies:
+                self._start_gc_copy(src_ppn, dst_ppn)
+            self.metrics.gc_page_copies += len(gc_copies)
+        if erased:
+            t_erase = self._t_erase
+            for pidx, _block in erased:
+                self._planes[pidx].occupy(t_erase, "ERASE", None)
         free = self._free
         i = free.pop() if free else self._grow()
         self._state[i] = state
-        self._plane[i] = self._planes[self._plane_index_of(address)]
-        self._channel[i] = self._channels[address.channel]
+        self._plane[i], self._channel[i] = self._wiring[ppn % self._n_planes]
         self._host_link.occupy(self._host_page_us, "WRITE",
                                self._whost_cb[i], None)
 
@@ -920,15 +922,14 @@ class ReadPipeline:
         # program completion is release-then-_page_done: exactly _host_done
         self._plane[i].occupy(self._t_prog, TAG_WRITE, self._host_cb[i])
 
-    def _start_gc_copy(self, src, dst) -> None:
+    def _start_gc_copy(self, src_ppn: int, dst_ppn: int) -> None:
         """Internal relocation: sense, move out, move back, program."""
         free = self._free
         i = free.pop() if free else self._grow()
-        self._channel[i] = self._channels[src.channel]
-        self._gc_in[i] = self._channels[dst.channel]
-        self._gc_dst[i] = self._planes[self._plane_index_of(dst)]
-        self._planes[self._plane_index_of(src)].occupy(
-            self.t_read, TAG_GC, self._gc_sense_cb[i])
+        wiring, n_planes = self._wiring, self._n_planes
+        src_plane, self._channel[i] = wiring[src_ppn % n_planes]
+        self._gc_dst[i], self._gc_in[i] = wiring[dst_ppn % n_planes]
+        src_plane.occupy(self.t_read, TAG_GC, self._gc_sense_cb[i])
 
     def _gc_sense_done(self, i: int) -> None:
         self._channel[i].occupy(self._t_dma, TAG_GC, self._gc_out_cb[i])

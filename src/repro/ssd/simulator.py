@@ -265,6 +265,12 @@ class SSDSimulator:
             ]
         for channel, ecc in zip(self.channels, self.eccs):
             ecc.subscribe_on_release(channel.kick)
+        # (plane, channel) by flat plane index: the write lane looks a ppn
+        # up as ppn % len(...), AddressMapper's stripe order
+        self._plane_wiring = [
+            (plane, self.channels[self.mapper.plane_from_index(pidx)[0]])
+            for pidx, plane in enumerate(self.planes)
+        ]
 
         # --- observability wiring (repro.obs; all hooks are passive) ---
         self._requests_submitted = 0
@@ -495,13 +501,7 @@ class SSDSimulator:
                 # block through the existing relocation path
                 self.metrics.retired_blocks += 1
                 self.fault_injector.note_block_retired(addr)
-                self.metrics.gc_page_copies += len(result.gc_copies)
-                for copy in result.gc_copies:
-                    self._start_gc_copy(copy.source, copy.destination)
-                for plane_idx, _block in result.erased_blocks:
-                    self.planes[plane_idx].submit(
-                        Job(duration=self.config.timings.t_erase, tag="ERASE")
-                    )
+                self._start_relocation_traffic(result)
                 target = self.ftl.read(lpn)  # re-resolve to the new home
             # the triggering read pays at least one retry round either way
             # (an unretired block struggles through like a transient fault)
@@ -526,11 +526,16 @@ class SSDSimulator:
         if result is None:
             return  # unsafe right now; the next read will retry
         self.metrics.disturb_relocations += 1
-        self.metrics.gc_page_copies += len(result.gc_copies)
-        for copy in result.gc_copies:
-            self._start_gc_copy(copy.source, copy.destination)
-        for plane_idx, _block in result.erased_blocks:
-            self.planes[plane_idx].submit(
+        self._start_relocation_traffic(result)
+
+    def _start_relocation_traffic(self, result: tuple) -> None:
+        """The GC copies and erases of one ``PageMapFtl.relocate_block``."""
+        _ppn, gc_copies, erased = result
+        self.metrics.gc_page_copies += len(gc_copies)
+        for src_ppn, dst_ppn in gc_copies:
+            self._start_gc_copy(src_ppn, dst_ppn)
+        for pidx, _block in erased:
+            self.planes[pidx].submit(
                 Job(duration=self.config.timings.t_erase, tag="ERASE")
             )
 
@@ -748,18 +753,17 @@ class SSDSimulator:
     # --- page write -----------------------------------------------------------------------------
 
     def _start_page_write(self, lpn: int, state: _RequestState) -> None:
-        result = self.ftl.write(lpn, self.sim.now)
+        ppn, gc_copies, erased = self.ftl.write(lpn, self.sim.now)
         self.metrics.page_writes += 1
-        for copy in result.gc_copies:
-            self._start_gc_copy(copy.source, copy.destination)
-        self.metrics.gc_page_copies += len(result.gc_copies)
-        for pidx, _block in result.erased_blocks:
+        for src_ppn, dst_ppn in gc_copies:
+            self._start_gc_copy(src_ppn, dst_ppn)
+        self.metrics.gc_page_copies += len(gc_copies)
+        for pidx, _block in erased:
             self.planes[pidx].submit(
                 Job(duration=self.config.timings.t_erase, tag="ERASE")
             )
-        address = result.address
-        plane = self.planes[self.mapper.plane_index_of(address)]
-        channel = self.channels[address.channel]
+        wiring = self._plane_wiring
+        plane, channel = wiring[ppn % len(wiring)]
         t = self.config.timings
 
         def after_host() -> None:
@@ -777,13 +781,12 @@ class SSDSimulator:
             duration=self._host_page_us, tag="WRITE", on_complete=after_host,
         ))
 
-    def _start_gc_copy(self, src: PageAddress, dst: PageAddress) -> None:
+    def _start_gc_copy(self, src_ppn: int, dst_ppn: int) -> None:
         """Internal relocation: sense, move out, move back, program."""
         t = self.config.timings
-        src_plane = self.planes[self.mapper.plane_index_of(src)]
-        dst_plane = self.planes[self.mapper.plane_index_of(dst)]
-        out_channel = self.channels[src.channel]
-        in_channel = self.channels[dst.channel]
+        wiring = self._plane_wiring
+        src_plane, out_channel = wiring[src_ppn % len(wiring)]
+        dst_plane, in_channel = wiring[dst_ppn % len(wiring)]
 
         def after_sense() -> None:
             out_channel.submit(Job(duration=t.t_dma, tag=TAG_GC,

@@ -171,6 +171,26 @@ def test_memocache_never_caches_while_disabled_then_reuses():
 # --- end-to-end equivalence ---------------------------------------------------------
 
 
+#: write pressure on a shrunken geometry (8 blocks x 16 pages per plane)
+#: drains the over-provisioning pool, so greedy GC copies pages
+GC_SPEC = RunSpec(workload="Ali2", policy="RiFSSD", pe_cycles=2000.0,
+                  n_requests=1200, seed=7, user_pages=2000,
+                  config_overrides={"geometry": {"blocks_per_plane": 8,
+                                                 "pages_per_block": 16}})
+#: a threshold low enough that read-disturb management relocates blocks
+DISTURB_SPEC = RunSpec(workload="Sys0", policy="RPSSD", pe_cycles=1000.0,
+                       n_requests=800, seed=13, read_disturb_threshold=8)
+#: cells pinned to exercise a path, and the counter that proves they do
+MUST_FIRE = {GC_SPEC: "gc_page_copies", DISTURB_SPEC: "disturb_relocations"}
+
+
+def _assert_path_fires(spec, result):
+    counter = MUST_FIRE.get(spec)
+    if counter is not None:
+        assert getattr(result.metrics, counter) > 0, \
+            f"{counter} == 0: the cell no longer exercises its path"
+
+
 SPECS = [
     RunSpec(workload="Ali124", policy="RiFSSD", pe_cycles=2000.0,
             n_requests=1200, seed=7),
@@ -182,6 +202,7 @@ SPECS = [
             n_requests=1200, seed=7, reliability_mode="lut"),
     RunSpec(workload="Sys0", policy="SSDone", pe_cycles=0.0,
             n_requests=1200, seed=7),
+    GC_SPEC,
 ]
 
 
@@ -190,6 +211,7 @@ SPECS = [
                               for s in SPECS])
 def test_simulation_bit_identical_with_and_without_caches(spec):
     cached = execute(spec)
+    _assert_path_fires(spec, cached)
     with caches_disabled():
         reference = execute(spec)
     assert cached.to_dict() == reference.to_dict()
@@ -208,6 +230,7 @@ def test_simulation_bit_identical_with_and_without_caches(spec):
                               for s in SPECS])
 def test_batched_core_matches_scalar_core(spec):
     batched = execute(spec)
+    _assert_path_fires(spec, batched)
     with scalar_core():
         scalar = execute(spec)
     assert batched.to_dict() == scalar.to_dict()
@@ -229,8 +252,7 @@ EXTRA_MODE_SPECS = [
             n_requests=800, seed=7, channel_arbitration=True),
     RunSpec(workload="Ali124", policy="SWR+", pe_cycles=2000.0,
             n_requests=800, seed=7, mode="timed", time_limit_us=40000.0),
-    RunSpec(workload="Sys0", policy="RPSSD", pe_cycles=1000.0,
-            n_requests=800, seed=13, read_disturb_threshold=40),
+    DISTURB_SPEC,
 ]
 
 
@@ -238,6 +260,7 @@ EXTRA_MODE_SPECS = [
                          ids=["arbitration", "timed", "read-disturb"])
 def test_batched_core_matches_scalar_in_special_modes(spec):
     batched = execute(spec)
+    _assert_path_fires(spec, batched)
     with scalar_core():
         scalar = execute(spec)
     assert batched.to_dict() == scalar.to_dict()

@@ -57,24 +57,99 @@ def test_rif_plans_never_ship_predicted_failures(rber, seed):
         assert len(plan.phases) > 2
 
 
-@given(st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=60),
-       st.integers(min_value=0, max_value=100))
-@settings(max_examples=25, deadline=None)
-def test_ftl_mapping_is_always_a_bijection(lpns, salt):
-    """After any write sequence, distinct logical pages resolve to distinct
-    physical pages."""
-    config = SSDConfig().scaled(
-        channels=1, dies_per_channel=1, planes_per_die=2,
-        blocks_per_plane=8, pages_per_block=8,
-    )
-    ftl = PageMapFtl(config)
-    for i, lpn in enumerate(lpns):
-        ftl.write(lpn % ftl.user_pages, now_us=float(i + salt))
-    seen = {}
-    for lpn in range(min(ftl.user_pages, 64)):
-        ppn = ftl.current_ppn(lpn)
-        assert ppn not in seen, f"lpn {lpn} and {seen[ppn]} share ppn {ppn}"
-        seen[ppn] = lpn
+_FTL_CONFIG = SSDConfig().scaled(
+    channels=2, dies_per_channel=1, planes_per_die=2,
+    blocks_per_plane=6, pages_per_block=4,
+)
+_FTL_GEOMETRY = _FTL_CONFIG.geometry
+_FTL_LPNS = PageMapFtl(_FTL_CONFIG).user_pages
+# mostly writes, over a hot set small enough that overwrites drain the
+# over-provisioning pool and greedy GC fires
+_FTL_OPS = st.one_of(
+    st.tuples(st.just("write"), st.integers(0, 11)),
+    st.tuples(st.just("write"), st.integers(0, 11)),
+    st.tuples(st.just("write"), st.integers(0, _FTL_LPNS - 1)),
+    st.tuples(st.just("read"), st.integers(0, _FTL_LPNS - 1)),
+    st.tuples(st.just("relocate"),
+              st.integers(0, _FTL_GEOMETRY.total_planes - 1),
+              st.integers(0, _FTL_GEOMETRY.blocks_per_plane - 1)),
+)
+
+
+def _assert_ftl_consistent(ftl, programmed, holder_before, written_lpn,
+                           copies, erased):
+    """The FTL invariants after one operation.  ``programmed`` is the set
+    of ppns holding data since their block's last erase (the test's own
+    record), ``holder_before`` maps each ppn to the lpn it held before the
+    operation."""
+    g = ftl.config.geometry
+    planes_total = g.total_planes
+    # _map and _reverse are inverses
+    assert ftl._reverse == {ppn: lpn for lpn, ppn in ftl._map.items()}
+    # live lpns resolve to distinct ppns
+    home = {lpn: ftl.current_ppn(lpn) for lpn in range(ftl.user_pages)}
+    holder = {ppn: lpn for lpn, ppn in home.items()}
+    assert len(holder) == len(home), "two live lpns share a ppn"
+    # every block's invalid count equals a recount of its dead pages
+    span = g.pages_per_block * planes_total
+    for pidx in range(planes_total):
+        for block in range(g.blocks_per_plane):
+            first = block * span + pidx
+            dead = sum(1 for ppn in range(first, first + span, planes_total)
+                       if ppn in programmed and ppn not in holder)
+            assert ftl._invalid_counts.get((pidx, block), 0) == dead, \
+                (pidx, block)
+    # each GC copy moved the lpn its source held to the lpn's current home
+    # (unless the operation's own host write superseded it right after)
+    for src, dst in copies:
+        lpn = holder_before[src]
+        if lpn != written_lpn:
+            assert home[lpn] == dst
+    # erased blocks are back in the free pool (or reopened as the write
+    # frontier by the same write) with cleared read counters
+    for pidx, block in erased:
+        state = ftl._planes[pidx]
+        assert block in state.free_blocks or block == state.active_block
+        assert (pidx, block) not in ftl._block_reads
+
+
+@given(st.lists(_FTL_OPS, min_size=30, max_size=200))
+@settings(max_examples=60, deadline=None)
+def test_ftl_mapping_is_always_a_bijection(ops):
+    """Any interleaving of host writes, reads and block relocations on a
+    multi-plane geometry small enough for GC to fire keeps the map a
+    bijection and the per-block accounting exact."""
+    ftl = PageMapFtl(_FTL_CONFIG)
+    g = _FTL_GEOMETRY
+    span = g.pages_per_block * g.total_planes
+    # the preconditioned region is programmed before the run starts
+    programmed = set(range(ftl.user_pages))
+    for step, op in enumerate(ops):
+        now_us = float(step)
+        holder_before = {ftl.current_ppn(lpn): lpn
+                         for lpn in range(ftl.user_pages)}
+        written_lpn, copies, erased = None, (), ()
+        if op[0] == "write":
+            written_lpn = op[1]
+            ppn, copies, erased = ftl.write(written_lpn, now_us)
+        elif op[0] == "read":
+            ftl.read(op[1])
+        else:
+            result = ftl.relocate_block(op[1], op[2], now_us)
+            if result is not None:
+                _ppn, copies, erased = result
+        # replay the operation on the record: copies program their
+        # destinations, erases wipe their blocks (no destination lies in a
+        # block erased by the same operation), then the host page lands
+        programmed.update(dst for _src, dst in copies)
+        for pidx, block in erased:
+            first = block * span + pidx
+            programmed.difference_update(
+                range(first, first + span, g.total_planes))
+        if op[0] == "write":
+            programmed.add(ppn)
+        _assert_ftl_consistent(ftl, programmed, holder_before, written_lpn,
+                               copies, erased)
 
 
 @given(

@@ -20,11 +20,16 @@ def _hot_read_trace(n_requests, pages=4):
 # --- FTL-level mechanics ----------------------------------------------------------
 
 
+def _plane_and_block(ftl, ppn):
+    addr = ftl.mapper.address(ppn)
+    return ftl.mapper.plane_index_of(addr), addr.block
+
+
 def test_ftl_block_read_count_resets_on_relocation(tiny_ssd_config):
     ftl = PageMapFtl(tiny_ssd_config)
     for _ in range(10):
         ftl.read(0)
-    pidx, block = ftl._plane_and_block(ftl.current_ppn(0))
+    pidx, block = _plane_and_block(ftl, ftl.current_ppn(0))
     assert ftl.block_read_count(pidx, block) == 10
     result = ftl.relocate_block(pidx, block, now_us=1.0)
     assert result is not None
@@ -40,15 +45,16 @@ def test_ftl_relocation_preserves_all_data(tiny_ssd_config):
     ftl = PageMapFtl(tiny_ssd_config)
     # touch every lpn of block 0 in plane 0, then relocate the block
     victims = [lpn for lpn in range(ftl.user_pages)
-               if ftl._plane_and_block(lpn) == (0, 0)]
+               if _plane_and_block(ftl, lpn) == (0, 0)]
     for lpn in victims:
         ftl.read(lpn)
     result = ftl.relocate_block(0, 0, now_us=5.0)
     assert result is not None
-    assert len(result.gc_copies) == len(victims)
+    _ppn, copies, _erased = result
+    assert len(copies) == len(victims)
     for lpn in victims:
         # resolvable and no longer in the erased block
-        assert ftl._plane_and_block(ftl.current_ppn(lpn)) != (0, 0)
+        assert _plane_and_block(ftl, ftl.current_ppn(lpn)) != (0, 0)
 
 
 def test_ftl_relocation_refuses_free_blocks(tiny_ssd_config):
@@ -62,14 +68,15 @@ def test_ftl_relocation_of_active_block_retires_it(tiny_ssd_config):
     """An overheated write frontier is closed and relocated; the written
     page survives."""
     ftl = PageMapFtl(tiny_ssd_config)
-    result = ftl.write(0, now_us=0.0)
+    ppn, _copies, _erased = ftl.write(0, now_us=0.0)
     active = ftl._planes[0].active_block
     relocation = ftl.relocate_block(0, active, now_us=1.0)
     assert relocation is not None
-    assert len(relocation.gc_copies) == 1  # the one written page moved
+    _none, copies, _erased = relocation
+    assert len(copies) == 1  # the one written page moved
     target = ftl.read(0)
     assert not target.cold
-    assert target.address != result.address
+    assert target.address != ftl.mapper.address(ppn)
 
 
 def test_ftl_erase_counts_accumulate(tiny_ssd_config):
