@@ -230,6 +230,16 @@ class RunSpec:
         sizing = self.resolved_sizing()
         return (self.workload, sizing.n_requests, sizing.user_pages, self.seed)
 
+    def run_kwargs(self) -> dict:
+        """Keyword arguments of :meth:`SSDSimulator.run_trace` for this
+        spec's host mode, queue depth and time limit."""
+        kwargs = dict(mode=self.mode)
+        if self.mode == "closed":
+            kwargs["queue_depth"] = self.resolved_sizing().queue_depth
+        if self.time_limit_us is not None:
+            kwargs["time_limit_us"] = self.time_limit_us
+        return kwargs
+
 
 # --- builders --------------------------------------------------------------------
 
@@ -304,15 +314,9 @@ def execute(spec: RunSpec, trace: Optional[Trace] = None,
     (burn-rate SLO evaluation needs its time slices) without affecting
     the result or the spec's cache identity.
     """
-    sizing = spec.resolved_sizing()
     ssd = build_simulator(spec, snapshot_interval_us=snapshot_interval_us)
-    run_kwargs = dict(mode=spec.mode)
-    if spec.mode == "closed":
-        run_kwargs["queue_depth"] = sizing.queue_depth
-    if spec.time_limit_us is not None:
-        run_kwargs["time_limit_us"] = spec.time_limit_us
     return ssd.run_trace(trace if trace is not None else build_trace(spec),
-                         **run_kwargs)
+                         **spec.run_kwargs())
 
 
 def grid_specs(

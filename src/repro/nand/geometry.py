@@ -111,9 +111,9 @@ class AddressMapper:
         Miss path hand-inlined with :meth:`MemoCache.get_or_compute`'s
         exact counter discipline.  The FTL's write, allocation and GC path
         works on flat ppns and never decodes here; misses come from the
-        first read of each physical page (the scalar core's
-        :meth:`~repro.ssd.ftl.PageMapFtl.read`, the batched core's route
-        memo) and from callers that need the 5-tuple."""
+        first read of each physical page (the read pipeline's route memo,
+        :meth:`~repro.ssd.ftl.PageMapFtl.read` on the fault and
+        read-disturb path) and from callers that need the 5-tuple."""
         cache = self._address_cache
         if _perf_cache._ENABLED:
             table = self._address_table

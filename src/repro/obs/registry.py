@@ -348,12 +348,12 @@ def scrape_simulator(ssd, registry: Optional[MetricRegistry] = None,
     """Scrape a (running or finished) ``SSDSimulator`` into a registry.
 
     A pure pull: reads :class:`~repro.ssd.metrics.SimMetrics`, per-channel
-    ``busy_time_by_tag`` / ``blocked_time`` / ``jobs_completed``, and the
-    decoder-buffer occupancy (current, peak, capacity).  Both simulation
-    cores expose identical surfaces (``SerialResource``/``EccEngine`` vs
-    ``FastChannel``/``FastEcc``), so the emitted metrics are identical by
-    construction.  Each call *adds* to ``registry`` — scrape into a fresh
-    registry unless accumulation is intended.
+    ``busy_time_by_tag`` / ``blocked_time`` / ``jobs_completed`` of the
+    :class:`~repro.ssd.read_pipeline.FastChannel` resources, and the
+    decoder-buffer occupancy (current, peak, capacity) of each
+    :class:`~repro.ssd.read_pipeline.FastEcc`.  Each call *adds* to
+    ``registry`` — scrape into a fresh registry unless accumulation is
+    intended.
     """
     registry = registry if registry is not None else MetricRegistry()
     base = dict(labels or {})

@@ -64,12 +64,10 @@ class TraceConfig:
 
 @dataclass(frozen=True)
 class SpanEvent:
-    """One timed interval on a named track.
-
-    Field names are shared with the legacy ``TimelineEvent`` (``label``,
-    ``resource``, ``start_us``, ``end_us``, ``tag``) so pre-existing
-    consumers keep working; ``kind`` and ``request_id`` are the structured
-    additions.
+    """One timed interval on a named track: ``label`` on ``resource``
+    from ``start_us`` to ``end_us`` under a channel-usage ``tag``;
+    ``kind`` (sense / transfer / decode / fault / occupancy / request)
+    and ``request_id`` link it to the host request it served.
     """
 
     label: str
@@ -108,8 +106,7 @@ class SimTracer:
     """Deterministic recorder of spans, occupancies, and instant events.
 
     Constructing a tracer directly (``SimTracer()``) enables tracing of
-    everything — the behaviour of the legacy ``TimelineTracer``.  Pass a
-    :class:`TraceConfig` to sample or bound the trace.
+    everything.  Pass a :class:`TraceConfig` to sample or bound the trace.
     """
 
     def __init__(self, config: Optional[TraceConfig] = None):
@@ -145,14 +142,14 @@ class SimTracer:
     def record(self, label: str, resource: str, start_us: float,
                end_us: float, tag: str, kind: str = "",
                request_id: Optional[int] = None) -> None:
-        """Record one read-path phase span (legacy ``TimelineTracer`` API)."""
+        """Record one read-path phase span (the ``events`` stream)."""
         if self._admit():
             self.events.append(SpanEvent(label, resource, start_us, end_us,
                                          tag, kind, request_id))
 
     def record_resource(self, resource: str, tag: str, start_us: float,
                         end_us: float, label: Optional[str] = None) -> None:
-        """Probe target for :meth:`SerialResource.attach_probe`: one
+        """Probe target for the resources' ``attach_probe``: one
         occupancy (or ECCWAIT blocked) interval of a hardware resource."""
         if self._admit():
             self.resource_spans.append(SpanEvent(
@@ -180,7 +177,8 @@ class SimTracer:
     # --- views ------------------------------------------------------------
 
     def by_resource(self) -> Dict[str, List[SpanEvent]]:
-        """Read-path phase spans grouped by resource (legacy view)."""
+        """Read-path phase spans grouped by resource (the Fig. 7/8
+        timeline view)."""
         out: Dict[str, List[SpanEvent]] = {}
         for ev in self.events:
             out.setdefault(ev.resource, []).append(ev)

@@ -15,7 +15,6 @@ history-driven adaptive family (:mod:`.adaptive`).
 """
 
 from .events import EventQueue, Simulator
-from .resources import SerialResource, EccEngine
 from .reliability import PageReliabilitySampler
 from .lut_reliability import LutReliabilitySampler
 from .ecc_model import EccOutcomeModel
@@ -33,8 +32,6 @@ from .simulator import (
     RESULT_SCHEMA_VERSION,
     SSDSimulator,
     SimulationResult,
-    TimelineEvent,
-    TimelineTracer,
 )
 from .adaptive import (
     ADAPTIVE_POLICIES,
@@ -50,8 +47,6 @@ from .energy import EnergyBreakdown, EnergyConfig, EnergyModel
 __all__ = [
     "EventQueue",
     "Simulator",
-    "SerialResource",
-    "EccEngine",
     "PageReliabilitySampler",
     "LutReliabilitySampler",
     "EccOutcomeModel",
@@ -68,8 +63,6 @@ __all__ = [
     "SSDSimulator",
     "SimulationResult",
     "RESULT_SCHEMA_VERSION",
-    "TimelineTracer",
-    "TimelineEvent",
     "ClosedLoopHost",
     "TimedReplayHost",
     "RefreshPlanner",

@@ -45,8 +45,8 @@ class DecodeDraw:
 #: ``random(n)`` returns exactly the next ``n`` doubles of the stream, so
 #: serving scalar draws out of a prefetched chunk consumes the *same
 #: values in the same order* as one ``random()`` call per draw — the RNG
-#: stream-order contract the batched core relies on, pinned by
-#: ``tests/test_perf_equivalence.py``.
+#: stream-order contract the golden-digest corpus (``tests/golden.py``)
+#: pins.
 _UNIFORM_CHUNK = 512
 
 

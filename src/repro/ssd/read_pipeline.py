@@ -1,26 +1,22 @@
-"""Batched structure-of-arrays read pipeline — the live simulation core.
+"""The simulation core: fast resources and the per-read state machine.
 
-The scalar reference pipeline in :mod:`~repro.ssd.simulator` compiles each
-page read into a :class:`~repro.ssd.retry_policies.ReadPlan` and walks it
-with a chain of nested closures, allocating a ``Phase`` object, a ``Job``
-and two lambdas per hop.  At QD-64 with millions of page reads that churn
-dominates the wall clock.  This module replaces it with:
+Each page read is compiled by its policy into flat ``(kind, duration,
+tag, decode_us)`` phase tuples (:meth:`~repro.ssd.retry_policies.
+RetryPolicy.plan_into`) and walked through the contended hardware:
 
-* **Fast resources** (:class:`FastFifo`, :class:`FastChannel`,
-  :class:`FastEcc`) — allocation-free reimplementations of
-  :class:`~repro.ssd.resources.SerialResource` /
-  :class:`~repro.ssd.resources.EccEngine` that keep the *exact* event
-  causal order of the originals: completion events are pushed at the same
-  points, handler internals run in the same sequence (account -> probes ->
-  callback -> start next), so the event queue's tie-break order — and with
-  it every timestamp, metric and trace event — is bit-identical.
+* **Resources** (:class:`FastFifo`, :class:`FastChannel`,
+  :class:`FastEcc`) — allocation-free serial resources with busy-time
+  accounting per tag (the Fig.-18 channel-usage classification falls out
+  of it), decoder-slot gating, optional priority arbitration and passive
+  occupancy probes.  For a flash channel the only gate is "does the
+  channel's ECC decoder have a free buffer slot", so its blocked time
+  **is** the paper's ECCWAIT.
 * **An explicit per-read state machine** (:class:`ReadPipeline`) over
   structure-of-arrays slot storage: one parallel array per field (phase
   list, cursor, owning resources, fault bookkeeping), one persistent bound
-  callback per slot and transition.  Plans are compiled into reused flat
-  ``(kind, duration, tag, decode_us)`` tuples via
-  :meth:`~repro.ssd.retry_policies.RetryPolicy.plan_into`, never into
-  ``ReadPlan`` objects.
+  callback per slot and transition, so steady-state execution allocates
+  nothing per phase.  Host writes and GC copies run through the same
+  slots.
 * **Footprint prefetch**: before the event loop dispatches a trace,
   :meth:`~repro.ssd.simulator.SSDSimulator.prefetch_footprint` computes
   the cold ages and block/page strength factors of the trace's
@@ -33,18 +29,19 @@ dominates the wall clock.  This module replaces it with:
   ``exp``) stay scalar libm calls.  No rng stream is touched, so the
   event order and every sampled value are unchanged.
 
-Equivalence with the scalar core is not best-effort — it is asserted down
-to ``to_dict()`` equality and trace-stream equality by
-``tests/test_perf_equivalence.py``; select the reference core with
-:func:`repro.ssd.core_mode.scalar_core` (or ``REPRO_SCALAR_CORE=1``).
+Results are pinned by the golden-digest corpus (``tests/golden.py``):
+SHA-256 digests of result JSON and trace streams over ~70 cells, first
+recorded while this engine and the original closure-per-phase engine
+agreed bit for bit.  ``caches_disabled()`` (:mod:`repro.perf.cache`) is
+the reference for the memo layers.
 
-Ordering contracts replicated from the scalar core (load-bearing — any
-deviation shows up as a timestamp diff):
+Ordering contracts (load-bearing — any deviation shows up as a digest
+diff):
 
 * resource finish handler: ``busy = False`` -> busy-time accounting ->
   ``jobs_completed`` -> probes -> completion callback -> start next queued
   entry (a callback that enqueues on the same resource starts the *queue
-  head*, exactly like ``SerialResource.submit`` during ``_finish``);
+  head*);
 * gated channel entries reserve their decoder-buffer slot when the
   transfer *starts*; the slot is released when the decode completes,
   **before** the decode's trace span is recorded and the plan advances
@@ -52,7 +49,7 @@ deviation shows up as a timestamp diff):
   callback, ahead of the advancing read's next event);
 * a blocked (gated-head) interval opens when the head cannot start and
   closes — with an ``ECCWAIT`` probe when it has nonzero width — right
-  before the next job starts, identical to ``SerialResource``.
+  before the next job starts.
 """
 
 from __future__ import annotations
@@ -63,7 +60,6 @@ from heapq import heappush
 from typing import Callable, Dict, List, Optional
 
 from ..errors import ReproError, RetryExhaustedError, SimulationError
-from .resources import Job
 from .retry_policies import (
     K_SENSE,
     K_TRANSFER,
@@ -77,12 +73,10 @@ from .retry_policies import (
 class FastFifo:
     """Strict-FIFO serial resource (planes, host link, decode units).
 
-    API-compatible with the :class:`~repro.ssd.resources.SerialResource`
-    surface the simulator touches (``submit``/``kick``/``attach_probe``/
-    ``finalize``/accounting attributes), plus the allocation-free
-    :meth:`occupy` fast path the pipeline drives directly.  ``last_start``
-    holds the start time of the most recently finished job so completion
-    handlers can record exact spans without a per-job closure.
+    :meth:`occupy` enqueues one unit of work; the resource runs one at a
+    time and accumulates its busy time per tag.  ``last_start`` holds the
+    start time of the most recently finished job so completion handlers
+    can record exact spans without a per-job closure.
     """
 
     __slots__ = ("sim", "name", "busy_time_by_tag", "blocked_time",
@@ -119,7 +113,7 @@ class FastFifo:
         if self._queue:
             # only reachable from inside a completion callback (busy was
             # cleared but the next entry has not started yet): keep FIFO
-            # order by starting the queue head, as SerialResource does
+            # order by starting the queue head
             self._queue.append((duration, tag, cb, label))
             duration, tag, cb, label = self._queue.popleft()
         self._busy = True
@@ -160,25 +154,17 @@ class FastFifo:
         if not self._busy and self._queue:
             self._start_next()
 
-    # --- SerialResource-compatible surface ---------------------------------
-
-    def submit(self, job: Job) -> None:
-        """Adapter for the shared write/GC/erase paths, which enqueue
-        :class:`~repro.ssd.resources.Job` objects."""
-        if job.duration < 0:
-            raise SimulationError(f"negative job duration on {self.name}")
-        if job.on_start is not None or job.can_start is not None:
-            raise SimulationError(
-                f"{self.name}: gated/on_start jobs are not supported by the "
-                "batched core's FIFO resources"
-            )
-        self.occupy(job.duration, job.tag, job.on_complete, job.label)
+    # --- control and accounting surface -----------------------------------
 
     def kick(self) -> None:
         if not self._busy and self._queue:
             self._start_next()
 
     def attach_probe(self, probe: Callable) -> None:
+        """Register a passive occupancy observer, called as
+        ``probe(name, tag, start_us, end_us, label)`` when a job finishes
+        (and, on a channel, when a blocked interval closes, with tag
+        ``"ECCWAIT"``).  Probes must not touch the event queue."""
         self._probes.append(probe)
 
     def finalize(self) -> None:
@@ -188,10 +174,6 @@ class FastFifo:
     def busy(self) -> bool:
         return self._busy
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)
-
     def total_busy_time(self) -> float:
         return sum(self.busy_time_by_tag.values())
 
@@ -199,12 +181,14 @@ class FastFifo:
 class FastChannel:
     """Flash channel: FIFO (or priority-arbitrated) with decoder gating.
 
-    Mirrors the gated :class:`~repro.ssd.resources.SerialResource` exactly:
-    a *gated* entry (a read transfer bound for the decoder buffer) can only
-    start while its channel's :class:`FastEcc` has a free slot, and
+    A *gated* entry (a read transfer bound for the decoder buffer) can
+    only start while its channel's :class:`FastEcc` has a free slot, and
     reserves that slot at start; while the head (or, arbitrated, every
     runnable candidate) is gated shut, the channel accumulates blocked time
-    — the paper's ECCWAIT.
+    — the paper's ECCWAIT.  Strict FIFO by default (a gated head blocks
+    everything behind it); with ``arbitrated=True`` the channel runs the
+    highest-priority runnable entry (FIFO within a priority), so un-gated
+    write/GC traffic may bypass a stalled read transfer.
     """
 
     __slots__ = ("sim", "name", "arbitrated", "busy_time_by_tag",
@@ -313,19 +297,7 @@ class FastChannel:
             for probe in self._probes:
                 probe(self.name, "ECCWAIT", start, now, None)
 
-    # --- SerialResource-compatible surface ---------------------------------
-
-    def submit(self, job: Job) -> None:
-        """Adapter for write/GC DMA jobs (never gated, never ``on_start``)."""
-        if job.duration < 0:
-            raise SimulationError(f"negative job duration on {self.name}")
-        if job.on_start is not None or job.can_start is not None:
-            raise SimulationError(
-                f"{self.name}: external gated jobs must go through the "
-                "batched read pipeline"
-            )
-        self.occupy(job.duration, job.tag, job.on_complete, job.label,
-                    gated=False, priority=job.priority)
+    # --- control and accounting surface -----------------------------------
 
     def kick(self) -> None:
         """Re-evaluate the queue (a decoder slot may have freed up)."""
@@ -339,25 +311,17 @@ class FastChannel:
         if self._blocked_since is not None:
             self._close_blocked()
 
-    @property
-    def busy(self) -> bool:
-        return self._busy
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)
-
-    def total_busy_time(self) -> float:
-        return sum(self.busy_time_by_tag.values())
-
 
 class FastEcc:
-    """Per-channel decoder-buffer slots + serial decode unit.
+    """Per-channel LDPC decoder: finite input buffer + serial decode unit.
 
-    Behavioural twin of :class:`~repro.ssd.resources.EccEngine` (same
-    counters, same error messages, same waiter semantics); the decode unit
-    is a :class:`FastFifo` so the pipeline can drive it without ``Job``
-    objects.
+    A buffer slot is reserved when the channel *starts* streaming a page
+    in and released when that page's decode *completes*, so a slow (or
+    failed, 20 us) decode holds its slot and eventually stalls the channel
+    (the paper's third root cause, SecIII-B3).  Releasing a slot calls the
+    subscribed waiters (the channel's ``kick``).  ``held_slots`` are
+    squatted by ECC-saturation faults; ``peak_slots_in_use`` is a passive
+    high-water mark of real plus held slots.
     """
 
     __slots__ = ("sim", "name", "buffer_pages", "slots_in_use", "held_slots",
@@ -412,19 +376,6 @@ class FastEcc:
     def subscribe_on_release(self, callback: Callable[[], None]) -> None:
         self._slot_waiters.append(callback)
 
-    def submit_decode(self, duration: float, tag: str,
-                      on_complete: Callable[[], None],
-                      label: Optional[str] = None) -> None:
-        """EccEngine-compatible decode entry (slot released, then
-        ``on_complete``); the pipeline itself drives ``decoder.occupy``
-        directly with the release folded into its own handler."""
-
-        def finish() -> None:
-            self.release_slot()
-            on_complete()
-
-        self.decoder.occupy(duration, tag, finish, label)
-
 
 class ReadPipeline:
     """Explicit per-phase state machine over structure-of-arrays slots.
@@ -441,8 +392,6 @@ class ReadPipeline:
                                    |            |
                                  SENSE       TRANSFER ---(decode_us)---> decode
                                 (plane)      (channel, slot-gated)       (ecc)
-
-    mirroring the scalar ``_execute_plan`` closure chain state for state.
     """
 
     def __init__(self, ssd):
@@ -588,7 +537,7 @@ class ReadPipeline:
         :meth:`~repro.ssd.simulator.SSDSimulator.prefetch_footprint`) and
         dispatch never touches FTL or sampler state.  With an active fault
         plan or disturb management each page runs the full sequential
-        sequence of the scalar core instead.
+        sequence of :meth:`_start_read_sequential` instead.
         """
         if self._sequential:
             for lpn in lpns:
@@ -625,8 +574,8 @@ class ReadPipeline:
             dispatch(lpn, route, rber, state, retention)
 
     def _start_read_sequential(self, lpn: int, state) -> None:
-        """One page, scalar-core order: resolve -> inject -> sample ->
-        compile -> dispatch -> disturb management."""
+        """One page, in order: resolve -> inject -> sample -> compile ->
+        dispatch -> disturb management."""
         ssd = self.ssd
         target = ssd.ftl.read(lpn)
         faults = None
@@ -661,8 +610,8 @@ class ReadPipeline:
         """Resolve and memoize the dispatch route of one physical page:
         ``(block_key, page, plane, channel, ecc, read_key)`` — all pure in
         ppn.  ``read_key`` is the FTL's ``(plane_index, block)``
-        read-counter key (the same integers the scalar path derives in
-        :meth:`~repro.ssd.ftl.PageMapFtl.read`)."""
+        read-counter key (the same integers
+        :meth:`~repro.ssd.ftl.PageMapFtl.read` derives)."""
         addr = self.mapper.address(ppn)
         channel = addr.channel
         pidx = self._plane_index_of(addr)
@@ -779,7 +728,12 @@ class ReadPipeline:
             self._advance(i)
 
     def _apply_transfer_faults(self, phases: List[tuple], faults):
-        """Tuple-encoded twin of the scalar ``_apply_transfer_faults``."""
+        """Fold channel-corruption faults into a phase list.
+
+        Each corrupted transfer crosses the channel, burns a doomed decode
+        (UNCOR, full failed-decode latency), and is re-transferred; within
+        the retry budget the clean plan follows, beyond it the corrupted
+        rounds play out and the read ends degraded."""
         if not faults.corrupt_transfers:
             return phases, None
         ssd = self.ssd
@@ -861,7 +815,7 @@ class ReadPipeline:
         ecc = self._ecc[i]
         # release before recording/advancing: the freed slot kicks the gated
         # channel, so a blocked transfer starts ahead of this read's next
-        # event — the scalar EccEngine.submit_decode order
+        # event
         ecc.release_slot()
         if self._traced[i]:
             phase = self._phases[i][self._cursor[i] - 1]
@@ -888,16 +842,12 @@ class ReadPipeline:
         self._release(i)
         self.ssd._page_done(state)
 
-    # --- write lane (mirrors _start_page_write / _start_gc_copy) ------------
+    # --- write lane --------------------------------------------------------
 
     def start_write(self, lpn: int, state) -> None:
-        """One page write through the allocation-free slot machinery.
-
-        Same causal chain as the scalar core's Job closures — GC copies
-        and erases first (FTL order), then host-link transfer -> channel
-        DMA -> plane program — so submission order on every shared
-        resource, and with it every timestamp, is bit-identical.
-        """
+        """One page write through the allocation-free slot machinery:
+        GC copies and erases first (FTL order), then host-link transfer ->
+        channel DMA -> plane program."""
         ppn, gc_copies, erased = self.ftl.write(lpn, self.sim.now)
         self.metrics.page_writes += 1
         if gc_copies:
@@ -923,7 +873,8 @@ class ReadPipeline:
         self._plane[i].occupy(self._t_prog, TAG_WRITE, self._host_cb[i])
 
     def _start_gc_copy(self, src_ppn: int, dst_ppn: int) -> None:
-        """Internal relocation: sense, move out, move back, program."""
+        """Internal relocation (GC, block retirement, read-disturb):
+        sense, move out, move back, program."""
         free = self._free
         i = free.pop() if free else self._grow()
         wiring, n_planes = self._wiring, self._n_planes
@@ -943,9 +894,13 @@ class ReadPipeline:
         self._gc_dst[i] = None
         self._release(i)
 
-    # --- transient sense faults (mirrors _run_sense_retries) ----------------
+    # --- transient sense faults ------------------------------------------
 
     def _fault_sense_done(self, i: int) -> None:
+        """Bounded retry with backoff: the die fails ``failures``
+        consecutive senses; the controller re-issues up to ``max_retries``
+        times, waiting ``retry_backoff_us * round`` between attempts, then
+        gives up (degraded read)."""
         ssd = self.ssd
         if self._traced[i]:
             plane = self._plane[i]

@@ -68,8 +68,9 @@ class PhaseKind(enum.Enum):
 
 #: Integer phase kinds of the flat tuple encoding used while *building* a
 #: plan (see :class:`PlanBuild`): each phase is ``(kind, duration, tag,
-#: decode_us)``.  The batched read pipeline executes these tuples directly;
-#: the scalar reference path converts them to :class:`Phase` objects.
+#: decode_us)``.  The read pipeline executes these tuples directly;
+#: :meth:`ReadRetryPolicy.plan_read` converts them to :class:`Phase`
+#: objects for inspection.
 K_SENSE = 0
 K_TRANSFER = 1
 
@@ -79,7 +80,7 @@ class PlanBuild:
 
     Structure-of-arrays friendly: phases are flat ``(kind, duration, tag,
     decode_us)`` tuples, and the object is reset and reused per read by the
-    batched pipeline, so compiling a plan allocates (almost) nothing.  The
+    read pipeline, so compiling a plan allocates (almost) nothing.  The
     fields mirror :class:`ReadPlan` one for one.
     """
 
@@ -100,8 +101,8 @@ class PlanBuild:
         self.uncorrectable_transfers = 0
 
     def trace_args(self) -> dict:
-        """Same summary as :meth:`ReadPlan.trace_args` (the batched path
-        emits ``read.plan`` instants straight from the build)."""
+        """Same summary as :meth:`ReadPlan.trace_args` (the pipeline emits
+        ``read.plan`` instants straight from the build)."""
         args = {
             "rber": self.rber,
             "senses": self.senses,
@@ -187,7 +188,7 @@ class ReadRetryPolicy:
     Policies are stateless by default: :meth:`plan_into` is a pure
     function of ``rber`` and the RNG stream.  History-driven policies
     (:mod:`repro.ssd.adaptive`) set ``stateful = True`` and implement the
-    state hooks below; both simulation cores call :meth:`begin_read` with
+    state hooks below; the read pipeline calls :meth:`begin_read` with
     the page's identity immediately before compiling its plan, and
     :func:`repro.ssd.refresh.fast_forward` calls :meth:`on_fast_forward`
     when drive age jumps invalidate what was learned.
@@ -199,7 +200,7 @@ class ReadRetryPolicy:
     stateful = False
 
     #: Monotonic counter bumped whenever learned state is *invalidated*
-    #: (not on per-read learning).  The batched pipeline keys its memoized
+    #: (not on per-read learning).  The read pipeline keys its memoized
     #: per-ppn dispatch routes on this so invalidations flush them.
     state_version = 0
 
@@ -225,15 +226,15 @@ class ReadRetryPolicy:
     def plan_into(self, b: PlanBuild, rber: float) -> None:
         """Sample outcomes and fill ``b`` with flat phase tuples.
 
-        This is the single source of policy logic; the scalar and batched
-        cores both compile plans through it, so the RNG draw order is the
-        same by construction.
+        This is the single source of policy logic: the read pipeline
+        compiles every plan through it, and :meth:`plan_read` wraps it.
         """
         raise NotImplementedError
 
     def plan_read(self, rber: float) -> ReadPlan:
-        """Compile one read into a :class:`ReadPlan` (scalar reference
-        path; the batched pipeline consumes :meth:`plan_into` directly)."""
+        """Compile one read into an inspectable :class:`ReadPlan` (the
+        same draws as :meth:`plan_into`, which the read pipeline consumes
+        directly; tests and analyses read plans through this)."""
         b = PlanBuild()
         b.reset(rber)
         self.plan_into(b, rber)

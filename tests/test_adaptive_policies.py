@@ -3,8 +3,9 @@
 Covers the level oracle, plan shapes for hit / cold / mispredict reads,
 learned-state JSON round-trips (direct and through the campaign cache),
 invalidation on retention fast-forward, and bit-identity of the adaptive
-state machine between the batched and scalar cores and between the
-serial and process-parallel executors.
+state machine with the scalar reference core's golden digests
+(``tests/golden.py``) and between the serial and process-parallel
+executors.
 """
 
 import json
@@ -16,35 +17,18 @@ from repro.campaign import run_specs
 from repro.config import EccConfig, NandTimings
 from repro.errors import ConfigError
 from repro.nand.retry_table import level_for_rber
-from repro.ssd.core_mode import scalar_core
 from repro.ssd.ecc_model import ScriptedEccOutcomeModel
 from repro.ssd.refresh import fast_forward
 from repro.ssd.retry_policies import TAG_COR, TAG_UNCOR, make_policy
 from repro.ssd.simulator import SimulationResult
 
+from tests.golden import ADAPTIVE, CELLS, adaptive_spec, assert_golden, run_cell
+
 CAP = EccConfig().correction_capability
-
-#: (policy name, policy kwargs) for the three adaptive policies; RVPSSD
-#: calibrates at the cell's wear point via a scalar kwarg.
-ADAPTIVE = [
-    ("OVCSSD", {}),
-    ("OCASSD", {}),
-    ("RVPSSD", {"pe_cycles": 2000.0}),
-]
-
 
 def _policy(name, decode_script=None, **kwargs):
     model = ScriptedEccOutcomeModel(decode_script=decode_script)
     return make_policy(name, NandTimings(), model, **kwargs)
-
-
-def _spec(policy, kwargs, n_requests=240, workload="Ali124", seed=7,
-          refresh_days=120.0):
-    return RunSpec(
-        workload=workload, policy=policy, pe_cycles=2000.0, seed=seed,
-        scale="small", n_requests=n_requests, policy_kwargs=kwargs,
-        config_overrides={"reliability": {"refresh_days": refresh_days}},
-    )
 
 
 # --- the level oracle -----------------------------------------------------------
@@ -178,7 +162,7 @@ def test_adaptive_policies_validate_kwargs():
 
 @pytest.mark.parametrize("policy,kwargs", ADAPTIVE)
 def test_learned_state_json_round_trip(policy, kwargs):
-    result = execute(_spec(policy, kwargs, n_requests=120))
+    result = execute(adaptive_spec(policy, kwargs, n_requests=120))
     state = result.metrics.adaptive_state
     assert state is not None
     assert state["policy"] == policy
@@ -196,7 +180,7 @@ def test_learned_state_json_round_trip(policy, kwargs):
 
 
 def test_adaptive_state_round_trips_through_campaign_cache(tmp_path):
-    spec = _spec("OCASSD", {}, n_requests=120)
+    spec = adaptive_spec("OCASSD", {}, n_requests=120)
     first = run_specs([spec], cache=str(tmp_path))[spec]
     assert any(tmp_path.iterdir()), "campaign cache wrote nothing"
     second = run_specs([spec], cache=str(tmp_path))[spec]
@@ -209,7 +193,7 @@ def test_adaptive_state_round_trips_through_campaign_cache(tmp_path):
 
 
 def test_fast_forward_invalidates_learned_state_and_shifts_ages():
-    spec = _spec("OVCSSD", {}, n_requests=120)
+    spec = adaptive_spec("OVCSSD", {}, n_requests=120)
     ssd = build_simulator(spec)
     ssd.run_trace(build_trace(spec))
     policy = ssd.policy
@@ -231,12 +215,10 @@ def test_fast_forward_invalidates_learned_state_and_shifts_ages():
 
 
 def test_fast_forward_flushes_the_route_memo():
-    spec = _spec("OVCSSD", {}, n_requests=120)
+    spec = adaptive_spec("OVCSSD", {}, n_requests=120)
     ssd = build_simulator(spec)
     ssd.run_trace(build_trace(spec))
     pipeline = ssd._pipeline
-    if pipeline is None:
-        pytest.skip("scalar core has no route memo")
     assert pipeline._routes, "the run memoized no dispatch routes"
     fast_forward(ssd, retention_days=5.0)
     assert ssd.policy.state_version != pipeline._routes_version
@@ -247,7 +229,7 @@ def test_fast_forward_flushes_the_route_memo():
 
 
 def test_fast_forward_validates_arguments():
-    spec = _spec("OVCSSD", {}, n_requests=10)
+    spec = adaptive_spec("OVCSSD", {}, n_requests=10)
     ssd = build_simulator(spec)
     with pytest.raises(ConfigError):
         fast_forward(ssd, retention_days=-1.0)
@@ -269,7 +251,7 @@ def test_fast_forward_rejects_table_driven_reliability():
 
 
 def test_static_policies_ignore_fast_forward_state_hooks():
-    spec = _spec("SSDone", {}, n_requests=10)
+    spec = adaptive_spec("SSDone", {}, n_requests=10)
     ssd = build_simulator(spec)
     assert not ssd.policy.stateful
     assert ssd.policy.export_state() is None
@@ -277,21 +259,23 @@ def test_static_policies_ignore_fast_forward_state_hooks():
     assert ssd.policy.state_version == 0
 
 
-# --- cross-core / cross-executor bit-identity ------------------------------------
+# --- reference-core / cross-executor bit-identity --------------------------------
 
 
 @pytest.mark.parametrize("policy,kwargs", ADAPTIVE)
-def test_batched_core_matches_scalar_core(policy, kwargs):
-    spec = _spec(policy, kwargs, n_requests=240, refresh_days=180.0)
-    batched = execute(spec)
-    with scalar_core():
-        scalar = execute(spec)
-    assert batched.to_dict() == scalar.to_dict()
-    assert batched.metrics.adaptive_state == scalar.metrics.adaptive_state
+def test_batched_core_matches_scalar_digests(policy, kwargs):
+    """Learned state, hits and mispredicts match the scalar reference
+    core's (its result digests include ``adaptive_state``)."""
+    cell = CELLS[f"adaptive:{policy}"]
+    assert cell.spec == adaptive_spec(policy, kwargs, n_requests=240,
+                              refresh_days=180.0)
+    run = run_cell(cell)
+    assert run.ssd.metrics.adaptive_state is not None
+    assert_golden(cell, run)
 
 
 def test_serial_and_parallel_executors_identical():
-    specs = [_spec(policy, kwargs, n_requests=100, workload="Sys1")
+    specs = [adaptive_spec(policy, kwargs, n_requests=100, workload="Sys1")
              for policy, kwargs in ADAPTIVE]
     serial = run_specs(specs, jobs=1)
     parallel = run_specs(specs, jobs=2)

@@ -10,12 +10,10 @@ Two layers:
   counterpart, across both inverse-normal tails, a nonzero retention
   offset and a non-default operating temperature;
 * system edge cases — footprints larger than the memo tables, caches
-  disabled, fast-forward epochs, fault plans, the LUT sampler, timed
-  replay and both cores give ``to_dict()`` results identical to the
-  caches-disabled reference.
+  disabled, fast-forward epochs, fault plans, the LUT sampler and timed
+  replay give ``to_dict()`` results identical to the caches-disabled
+  reference and to the golden digests of the corpus (``tests/golden.py``).
 """
-
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -23,7 +21,6 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.config import ReliabilityConfig, small_test_config
-from repro.faults import FaultPlan, FaultSpec
 from repro.nand.variation import (
     _P_HIGH,
     _P_LOW,
@@ -34,11 +31,11 @@ from repro.nand.variation import (
     hash_to_unit_batch,
 )
 from repro.perf.cache import caches_disabled
-from repro.ssd.core_mode import scalar_core
-from repro.ssd.refresh import fast_forward
 from repro.ssd.reliability import PageReliabilitySampler
 from repro.ssd.simulator import SSDSimulator
 from repro.workloads import generate
+
+from tests.golden import CELLS, PREFETCH_CASES, assert_golden, run_cell
 
 PROPERTY = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow,
@@ -183,55 +180,34 @@ def _shrink_tables(ssd, max_entries=SEEDED_TABLES):
     return caches
 
 
-def _run(shrink=True, epochs=1, **kw):
-    trace_kw = kw.pop("trace", dict(name="Ali124", n_requests=240))
-    run_kw = kw.pop("run", {})
-    ssd = SSDSimulator(small_test_config(), policy=kw.pop("policy", "RiFSSD"),
-                       pe_cycles=2000.0, seed=5, **kw)
-    caches = _shrink_tables(ssd) if shrink else []
-    trace = generate(trace_kw["name"], n_requests=trace_kw["n_requests"],
-                     user_pages=3000, seed=9)
-    results = []
-    for epoch in range(epochs):
-        if epoch:
-            fast_forward(ssd, retention_days=21.0, pe_delta=300.0)
-        results.append(ssd.run_trace(trace, **run_kw).to_dict())
-    return results, caches
+def _run(name):
+    """Run the corpus cell ``prefetch:<name>`` with shrunken memo tables."""
+    caches = []
+    run = run_cell(CELLS[f"prefetch:{name}"],
+                   prepare=lambda ssd: caches.extend(_shrink_tables(ssd)))
+    return run, caches
 
 
-CASES = {
-    "closed": {},
-    "timed": dict(run=dict(mode="timed", time_limit_us=30000.0)),
-    "faults": dict(fault_plan=FaultPlan(faults=(
-        FaultSpec(kind="transient_sense", period=7, magnitude=2.0),
-        FaultSpec(kind="grown_bad_block", channel=0, die=0, plane=0,
-                  block=2, start_read=30),
-    ))),
-    "lut": dict(reliability_mode="lut"),
-    "adaptive": dict(policy="RVPSSD"),
-    "write-heavy": dict(trace=dict(name="Ali2", n_requests=300)),
-}
-
-
-@pytest.mark.parametrize("core", ["batched", "scalar"])
-@pytest.mark.parametrize("case", list(CASES))
-def test_prefetch_past_table_capacity_is_bit_identical(case, core):
+@pytest.mark.parametrize("case", list(PREFETCH_CASES))
+def test_prefetch_past_table_capacity_is_bit_identical(case):
     """A read footprint far beyond ``max_entries`` (many generations)
     gives the caches-disabled reference's results."""
-    with scalar_core() if core == "scalar" else nullcontext():
-        (got,), caches = _run(**CASES[case])
-        with caches_disabled():
-            (want,), _ = _run(**CASES[case])
-    assert got == want
+    got, caches = _run(case)
+    with caches_disabled():
+        want, _ = _run(case)
+    assert got.results == want.results
     assert sum(cache.evictions for cache in caches) > 0
+    assert_golden(CELLS[f"prefetch:{case}"], got)
 
 
 def test_prefetch_across_fast_forward_epochs_is_bit_identical():
-    got, caches = _run(epochs=3, policy="RVPSSD")
+    got, caches = _run("epochs")
     with caches_disabled():
-        want, _ = _run(epochs=3, policy="RVPSSD")
-    assert got == want
+        want, _ = _run("epochs")
+    assert len(got.results) == 3
+    assert got.results == want.results
     assert sum(cache.evictions for cache in caches) > 0
+    assert_golden(CELLS["prefetch:epochs"], got)
 
 
 def _seeded_tables(ssd):

@@ -7,7 +7,6 @@ import pytest
 from repro.config import small_test_config
 from repro.errors import ConfigError, SimulationError
 from repro.obs import (
-    SimTracer,
     TraceConfig,
     chrome_trace,
     load_trace_spans,
@@ -17,7 +16,7 @@ from repro.obs import (
     write_chrome_trace,
     write_events_jsonl,
 )
-from repro.ssd.simulator import SSDSimulator, TimelineEvent, TimelineTracer
+from repro.ssd.simulator import SSDSimulator
 from repro.workloads import generate
 
 USAGE_TAGS = ("COR", "UNCOR", "WRITE", "GC", "ECCWAIT")
@@ -41,13 +40,6 @@ def test_trace_config_validation():
         TraceConfig(sample_every=0)
     with pytest.raises(ConfigError):
         TraceConfig(max_events=0)
-
-
-def test_legacy_aliases_are_new_classes():
-    from repro.obs.trace import SpanEvent
-
-    assert TimelineTracer is SimTracer
-    assert TimelineEvent is SpanEvent
 
 
 def test_tracing_is_bit_identical():

@@ -8,15 +8,16 @@ Two layers:
 * system equivalence — a fixed-seed fig.-17-style simulation produces an
   identical :class:`SimulationResult` (``to_dict()`` equality, which
   includes every latency float) with memo caches on and off, for both
-  reliability modes and across retry policies.
+  reliability modes and across retry policies, and reproduces the golden
+  digests of the scalar reference core (``tests/golden.py``) in every
+  special mode, under every fault plan and with tracing on.
 """
 
 import numpy as np
 import pytest
 
-from repro.campaign.spec import RunSpec, execute
-from repro.config import LdpcCodeConfig, small_test_config
-from repro.faults import FaultPlan, FaultSpec
+from repro.campaign.spec import execute
+from repro.config import LdpcCodeConfig
 from repro.ldpc.qc_matrix import QcLdpcCode
 from repro.ldpc.syndrome import (
     pruned_syndrome,
@@ -25,14 +26,23 @@ from repro.ldpc.syndrome import (
     restore_codeword,
 )
 from repro.nand.vth import PageType, TlcVthModel
-from repro.obs import TraceConfig
 from repro.perf import kernels
 from repro.perf.cache import MemoCache, caches_disabled, caches_enabled
-from repro.ssd.core_mode import scalar_core
 from repro.ssd.lut_reliability import LutReliabilitySampler
 from repro.ssd.reliability import PageReliabilitySampler
-from repro.ssd.simulator import SSDSimulator
-from repro.workloads import generate
+
+from tests.golden import (
+    CELLS,
+    DISTURB_SPEC,
+    EXTRA_MODE_SPECS,
+    FAULT_PLANS,
+    FAULT_POLICIES,
+    GC_SPEC,
+    SPEC_IDS,
+    SPECS,
+    assert_golden,
+    run_cell,
+)
 
 
 @pytest.fixture(scope="module")
@@ -171,170 +181,77 @@ def test_memocache_never_caches_while_disabled_then_reuses():
 # --- end-to-end equivalence ---------------------------------------------------------
 
 
-#: write pressure on a shrunken geometry (8 blocks x 16 pages per plane)
-#: drains the over-provisioning pool, so greedy GC copies pages
-GC_SPEC = RunSpec(workload="Ali2", policy="RiFSSD", pe_cycles=2000.0,
-                  n_requests=1200, seed=7, user_pages=2000,
-                  config_overrides={"geometry": {"blocks_per_plane": 8,
-                                                 "pages_per_block": 16}})
-#: a threshold low enough that read-disturb management relocates blocks
-DISTURB_SPEC = RunSpec(workload="Sys0", policy="RPSSD", pe_cycles=1000.0,
-                       n_requests=800, seed=13, read_disturb_threshold=8)
 #: cells pinned to exercise a path, and the counter that proves they do
 MUST_FIRE = {GC_SPEC: "gc_page_copies", DISTURB_SPEC: "disturb_relocations"}
 
 
-def _assert_path_fires(spec, result):
+def _assert_path_fires(spec, metrics):
     counter = MUST_FIRE.get(spec)
     if counter is not None:
-        assert getattr(result.metrics, counter) > 0, \
+        assert getattr(metrics, counter) > 0, \
             f"{counter} == 0: the cell no longer exercises its path"
 
 
-SPECS = [
-    RunSpec(workload="Ali124", policy="RiFSSD", pe_cycles=2000.0,
-            n_requests=1200, seed=7),
-    RunSpec(workload="Ali121", policy="SWR", pe_cycles=1000.0,
-            n_requests=1200, seed=7),
-    RunSpec(workload="Sys1", policy="RPSSD", pe_cycles=2000.0,
-            n_requests=1200, seed=11),
-    RunSpec(workload="Ali2", policy="RiFSSD", pe_cycles=2000.0,
-            n_requests=1200, seed=7, reliability_mode="lut"),
-    RunSpec(workload="Sys0", policy="SSDone", pe_cycles=0.0,
-            n_requests=1200, seed=7),
-    GC_SPEC,
-]
-
-
-@pytest.mark.parametrize("spec", SPECS,
-                         ids=[f"{s.workload}-{s.policy}-{s.reliability_mode}"
-                              for s in SPECS])
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
 def test_simulation_bit_identical_with_and_without_caches(spec):
+    """Memo caches on vs every memo layer off (the reference the bench
+    gate's end-to-end cells time against)."""
     cached = execute(spec)
-    _assert_path_fires(spec, cached)
+    _assert_path_fires(spec, cached.metrics)
     with caches_disabled():
         reference = execute(spec)
     assert cached.to_dict() == reference.to_dict()
 
 
-# --- batched vs scalar core ---------------------------------------------------------
+# --- the scalar reference core, through its golden digests -------------------------
 #
-# The batched read pipeline replaces the scalar per-read closure engine
-# wholesale; ``scalar_core()`` keeps the seed path alive as the reference
-# mode.  Every spec below must produce the same ``to_dict()`` — every
-# latency float, every counter — in both cores.
+# The batched read pipeline replaced the scalar closure-per-phase engine;
+# that engine's results over these cells are kept as golden digests
+# (recorded while both cores agreed bit for bit), so every latency float
+# and every counter is still checked against it.
 
 
-@pytest.mark.parametrize("spec", SPECS,
-                         ids=[f"{s.workload}-{s.policy}-{s.reliability_mode}"
-                              for s in SPECS])
-def test_batched_core_matches_scalar_core(spec):
-    batched = execute(spec)
-    _assert_path_fires(spec, batched)
-    with scalar_core():
-        scalar = execute(spec)
-    assert batched.to_dict() == scalar.to_dict()
+@pytest.mark.parametrize("name", SPEC_IDS)
+def test_batched_core_matches_scalar_digests(name):
+    cell = CELLS[f"equiv:{name}"]
+    run = run_cell(cell)
+    _assert_path_fires(cell.spec, run.ssd.metrics)
+    assert_golden(cell, run)
 
 
-def test_batched_core_matches_seed_path_uncached():
-    """Batched + caches vs the pre-perf-layer seed path (scalar core with
-    every memo layer disabled) — the bench gate's exact reference."""
-    spec = SPECS[0]
-    batched = execute(spec)
-    with scalar_core():
-        with caches_disabled():
-            reference = execute(spec)
-    assert batched.to_dict() == reference.to_dict()
+@pytest.mark.parametrize("mode", list(EXTRA_MODE_SPECS))
+def test_batched_core_matches_scalar_in_special_modes(mode):
+    cell = CELLS[f"mode:{mode}"]
+    run = run_cell(cell)
+    _assert_path_fires(cell.spec, run.ssd.metrics)
+    assert_golden(cell, run)
 
 
-EXTRA_MODE_SPECS = [
-    RunSpec(workload="Sys1", policy="RiFSSD", pe_cycles=2000.0,
-            n_requests=800, seed=7, channel_arbitration=True),
-    RunSpec(workload="Ali124", policy="SWR+", pe_cycles=2000.0,
-            n_requests=800, seed=7, mode="timed", time_limit_us=40000.0),
-    DISTURB_SPEC,
-]
-
-
-@pytest.mark.parametrize("spec", EXTRA_MODE_SPECS,
-                         ids=["arbitration", "timed", "read-disturb"])
-def test_batched_core_matches_scalar_in_special_modes(spec):
-    batched = execute(spec)
-    _assert_path_fires(spec, batched)
-    with scalar_core():
-        scalar = execute(spec)
-    assert batched.to_dict() == scalar.to_dict()
-
-
-FAULT_PLANS = [
-    FaultPlan(faults=(
-        FaultSpec(kind="transient_sense", period=7, magnitude=2.0),
-        FaultSpec(kind="latency_spike", period=5, magnitude=3.0),
-    )),
-    FaultPlan(faults=(
-        FaultSpec(kind="grown_bad_block", channel=0, die=0, plane=0,
-                  block=2, start_read=30),
-        FaultSpec(kind="channel_corrupt", period=11, count=4, magnitude=1),
-    )),
-    FaultPlan(faults=(
-        FaultSpec(kind="ecc_saturation", channel=0, start_us=200.0,
-                  end_us=3000.0),
-        FaultSpec(kind="die_offline", channel=1, die=0, start_read=60),
-    ), on_degraded="absorb"),
-]
-
-
-@pytest.mark.parametrize("plan", FAULT_PLANS,
-                         ids=["sense+spike", "badblock+corrupt",
-                              "saturation+offline"])
-@pytest.mark.parametrize("policy", ["RiFSSD", "SSDone"])
+@pytest.mark.parametrize("plan", list(FAULT_PLANS))
+@pytest.mark.parametrize("policy", FAULT_POLICIES)
 def test_batched_core_matches_scalar_under_faults(plan, policy):
-    """Fault plans force the sequential resolve path of the batched
-    pipeline; outcomes, mitigation and degraded reads must stay
-    bit-identical to the scalar engine."""
-    spec = RunSpec(workload="Sys0", policy=policy, pe_cycles=2000.0,
-                   n_requests=600, seed=7, fault_plan=plan)
-    batched = execute(spec)
-    with scalar_core():
-        scalar = execute(spec)
-    assert batched.to_dict() == scalar.to_dict()
-
-
-def _traced_run(**kw):
-    ssd = SSDSimulator(small_test_config(), policy="RiFSSD",
-                       pe_cycles=2000.0, seed=31,
-                       trace_config=TraceConfig(enabled=True), **kw)
-    trace = generate("Sys1", n_requests=300, user_pages=3000, seed=31)
-    result = ssd.run_trace(trace)
-    return ssd, result
+    """Fault plans force the sequential resolve path of the pipeline;
+    outcomes, mitigation and degraded reads must match the scalar
+    engine's."""
+    cell = CELLS[f"fault:{policy}-{plan}"]
+    run = run_cell(cell)
+    assert run.ssd.metrics.faults_injected > 0
+    assert_golden(cell, run)
 
 
 def test_batched_core_matches_scalar_with_tracing_enabled():
-    """Tracing must observe the same simulation from both cores: identical
-    results, request spans, lifecycle instants and per-resource busy
-    accounting (``perf.cache_stats`` instants are excluded — the cores
-    probe the memo layers differently by design)."""
-    ssd_b, res_b = _traced_run()
-    with scalar_core():
-        ssd_s, res_s = _traced_run()
-    assert res_b.to_dict() == res_s.to_dict()
-    assert ssd_b.tracer.request_spans == ssd_s.tracer.request_spans
-    instants_b = [ev for ev in ssd_b.tracer.instants
-                  if ev.name != "perf.cache_stats"]
-    instants_s = [ev for ev in ssd_s.tracer.instants
-                  if ev.name != "perf.cache_stats"]
-    assert instants_b == instants_s
-    assert (ssd_b.tracer.resource_busy_by_tag()
-            == ssd_s.tracer.resource_busy_by_tag())
+    """Tracing observes the same simulation as the scalar engine did:
+    identical results, request spans, lifecycle instants and per-resource
+    busy accounting (``perf.cache_stats`` instants are excluded — they
+    report memo-layer counters, which are not results)."""
+    cell = CELLS["traced"]
+    run = run_cell(cell)
+    assert run.ssd.tracer.request_spans and run.ssd.tracer.resource_spans
+    assert_golden(cell, run)
 
 
 def test_batched_core_matches_scalar_traced_under_faults():
-    plan = FaultPlan(faults=(
-        FaultSpec(kind="transient_sense", period=9, magnitude=2.0),
-        FaultSpec(kind="latency_spike", period=6, magnitude=2.5),
-    ))
-    ssd_b, res_b = _traced_run(fault_plan=plan)
-    with scalar_core():
-        ssd_s, res_s = _traced_run(fault_plan=plan)
-    assert res_b.to_dict() == res_s.to_dict()
-    assert ssd_b.tracer.request_spans == ssd_s.tracer.request_spans
+    cell = CELLS["traced:faults"]
+    run = run_cell(cell)
+    assert run.ssd.metrics.faults_injected > 0
+    assert_golden(cell, run)

@@ -8,13 +8,14 @@ up.
 import pytest
 
 from repro.config import small_test_config
-from repro.ssd.simulator import SSDSimulator, TimelineTracer
+from repro.obs.trace import SimTracer
+from repro.ssd.simulator import SSDSimulator
 from repro.workloads import generate
 
 
 @pytest.fixture(scope="module", params=["SWR", "RiFSSD"])
 def traced_run(request):
-    tracer = TimelineTracer()
+    tracer = SimTracer()
     ssd = SSDSimulator(small_test_config(), policy=request.param,
                        pe_cycles=2000, seed=31, tracer=tracer)
     trace = generate("Sys0", n_requests=150, user_pages=3000, seed=31)

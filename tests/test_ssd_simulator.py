@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.ssd.ecc_model import ScriptedEccOutcomeModel
-from repro.ssd.simulator import SSDSimulator, TimelineTracer
+from repro.obs.trace import SimTracer
+from repro.ssd.simulator import SSDSimulator
 from repro.units import KIB
 from repro.workloads import generate
 from repro.workloads.trace import IORequest, Trace
@@ -143,7 +144,7 @@ def test_same_seed_same_result(ssd_config):
 
 
 def test_tracer_records_phases(ssd_config):
-    tracer = TimelineTracer()
+    tracer = SimTracer()
     ssd = SSDSimulator(ssd_config, policy="SSDzero", seed=10, tracer=tracer)
     _single_read(ssd, size=32 * KIB)
     by_resource = tracer.by_resource()
